@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("approx", help="truncated-series estimate of Z(lambda)")
+    p = sub.add_parser("approx", help="estimate of Z(lambda): truncated series,"
+                                      " or the polynomial once m >= n")
     p.add_argument("input")
     p.add_argument("--lambda", dest="lam", required=True, metavar="RE[,IM]")
     p.add_argument("--epsilon", type=float, required=True)
@@ -192,6 +193,7 @@ def _cmd_approx(args) -> dict:
     t2 = time.perf_counter()
     result = {
         "m": approx.order,
+        "evaluation": approx.evaluation,
         "lambda": _cnum(approx.lam),
         "lambda_effective": _cnum(approx.lam_effective),
         "inverted": approx.inverted,

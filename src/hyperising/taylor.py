@@ -8,6 +8,12 @@ n |lam|^{m+1} / ((m+1)(1-|lam|)) inside the open unit disk, and an
 additive error of eps/4 in log Z yields a multiplicative error within
 1 +/- eps in Z. Arguments outside the unit disk are pulled inside with
 Z(lam) = lam^n * Z_conj(1/lam), valid for symmetric edge activities.
+
+The order m grows without bound as |lam| -> 1, but once m >= n the tables
+to depth n already give every e_1..e_n, i.e. the whole polynomial. The
+estimator then skips the series and evaluates Z by Horner's rule, exact up
+to rounding in the table values, so every call does work bounded by n and
+the table caps whatever |lam| is.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from typing import Sequence
 from .coefficients import (
     CoefficientTable,
     compute_coefficient_tables,
+    elementary_to_coefficients,
     extend_power_sums,
     power_sums,
     power_sums_to_elementary,
@@ -70,6 +77,14 @@ def truncated_log_partition(p: Sequence[complex], lam: complex, m: int) -> compl
     return -acc
 
 
+def _horner(c: Sequence[complex], lam: complex) -> complex:
+    """sum_i c_i lam^i for ascending coefficients c."""
+    acc = 0.0 + 0.0j
+    for ci in reversed(c):
+        acc = acc * lam + ci
+    return acc
+
+
 def log_series_from_coefficients(c: Sequence[complex], lam: complex,
                                  m: int) -> complex:
     """Truncated log Z recovered from the polynomial coefficients alone.
@@ -98,14 +113,23 @@ def log_series_from_coefficients(c: Sequence[complex], lam: complex,
 
 @dataclass(frozen=True)
 class TaylorApproximation:
-    """Outcome of one truncation run.
+    """Outcome of one estimation run.
 
-    `value` estimates Z at `lam`; `log_estimate` is the truncated log at
+    `value` estimates Z at `lam`; `log_estimate` is an estimate of log Z at
     `lam_effective` (the argument after any inversion into the unit disk).
-    `bound` is the a-priori tail bound at the chosen order; it certifies
+    `order` is the a-priori truncation order m for (n, eps, |lam_effective|)
+    and `bound` the tail bound at that order; the bound certifies
     |value - Z| <= eps |Z| only when `guaranteed` is set, i.e. when every
     edge activity sits in a range with all partition zeros on the unit
     circle.
+
+    `evaluation` names the path taken. With "series" (m < n), `log_estimate`
+    is the series truncated after m terms and `value` its exponential. With
+    "polynomial" (m >= n), no series is summed: `value` is Z evaluated from
+    the coefficients c_0..c_n, and `log_estimate` is cmath.log of
+    Z(lam_effective) on the principal branch. `order` and `bound` keep
+    their a-priori values there, although the value then carries no
+    truncation error, only rounding in the table values.
     """
 
     order: int
@@ -117,6 +141,7 @@ class TaylorApproximation:
     bound: float
     epsilon: float
     guaranteed: bool
+    evaluation: str
 
 
 class PartitionEstimator:
@@ -145,7 +170,12 @@ class PartitionEstimator:
                                                 self.set_cap)
         return self._conj
 
-    def _ensure_depth(self, depth: int) -> None:
+    def _ensure_depth(self, depth: int, m: int) -> None:
+        if depth > self.order_cap:
+            raise OrderCapError(
+                f"truncation order {m} needs tables to order {depth}, "
+                f"above the cap {self.order_cap}"
+            )
         if self._ctable is not None and self._ctable.m >= depth:
             return
         fam = enumerate_connected(self.host, depth, set_cap=self.set_cap)
@@ -162,16 +192,17 @@ class PartitionEstimator:
         n = self.host.n
         if n == 0:
             return [0.0 + 0.0j] * m
-        depth = min(m, n)
-        if depth > self.order_cap:
-            raise OrderCapError(
-                f"truncation order {m} needs tables to order {depth}, "
-                f"above the cap {self.order_cap}"
-            )
-        self._ensure_depth(depth)
+        self._ensure_depth(min(m, n), m)
         if m <= len(self._p):
             return self._p[:m]
         return extend_power_sums(self._p, self.elementary(), m)
+
+    def _coefficients(self, m: int) -> list[complex]:
+        """Partition-polynomial coefficients c_0..c_n, from tables to the
+        host size; `m` is the truncation order asking for them."""
+        if self.host.n:
+            self._ensure_depth(self.host.n, m)
+        return elementary_to_coefficients(self.elementary())
 
     def elementary(self) -> list[complex]:
         """e_1..e_depth for the deepest order computed so far."""
@@ -185,6 +216,8 @@ class PartitionEstimator:
         return self._guaranteed
 
     def approximate(self, lam: complex, eps: float) -> TaylorApproximation:
+        """Estimate Z(lam) within 1 +/- eps (certified when guaranteed):
+        by the truncated series when m < n, else from the polynomial."""
         lam = complex(lam)
         if not 0 < eps < 1:
             raise ValueError("accuracy must lie in (0, 1)")
@@ -208,9 +241,15 @@ class PartitionEstimator:
             lam_eff = lam
         abs_eff = abs(lam_eff)
         m = 1 if abs_eff == 0 else truncation_order(n, eps, abs_eff)
-        p = inner.power_sums_up_to(m)
-        log_est = truncated_log_partition(p, lam_eff, m)
-        value = cmath.exp(log_est)
+        if m >= n:
+            evaluation = "polynomial"
+            value = _horner(inner._coefficients(m), lam_eff)
+            log_est = cmath.log(value) if value else complex(-math.inf)
+        else:
+            evaluation = "series"
+            p = inner.power_sums_up_to(m)
+            log_est = truncated_log_partition(p, lam_eff, m)
+            value = cmath.exp(log_est)
         if inverted:
             value *= lam**n
         return TaylorApproximation(
@@ -223,6 +262,7 @@ class PartitionEstimator:
             bound=truncation_bound(n, abs_eff, m),
             epsilon=eps,
             guaranteed=self.guaranteed(),
+            evaluation=evaluation,
         )
 
 

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from hyperising import exact_partition, parse_hypergraph
 from hyperising.cli import main, parse_lambda
 
 K2_DOC = {"n": 2, "edges": [{"v": [0, 1], "beta": 0.5}]}
@@ -44,6 +46,21 @@ def test_approx_reports_value(capsys, write_doc):
     assert rep["guarantee"] is True
     assert rep["input_digest"].startswith("sha256:")
     assert rep["result"]["m"] >= 1
+
+
+@pytest.mark.parametrize("lam", [0.9999999, 1 / 0.9999999])
+def test_approx_near_circle_evaluates_polynomial(capsys, write_doc, lam):
+    path = write_doc(K2_DOC)
+    start = time.perf_counter()
+    code, rep, _ = run_cli(capsys, ["approx", path, "--lambda", repr(lam),
+                                    "--epsilon", "0.01"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    result = rep["result"]
+    assert result["evaluation"] == "polynomial"
+    assert result["inverted"] == (lam > 1)
+    exact = exact_partition(parse_hypergraph(K2_DOC), lam)
+    assert abs(complex(*result["z_estimate"]) - exact) <= 0.01 * abs(exact)
 
 
 def test_approx_unit_circle_exit_two(capsys, write_doc):

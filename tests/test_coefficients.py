@@ -19,7 +19,7 @@ from hyperising import (
     power_sums,
     power_sums_to_elementary,
 )
-from hyperising.instances import random_connected_hypergraph
+from hyperising.instances import random_connected_hypergraph, random_regular_graph
 
 from conftest import edgeless, k2, max_coeff_rel_err, single_edge, triangle
 
@@ -125,6 +125,16 @@ def test_oracle_equivalence_random_instances():
         got = elementary_to_coefficients(e)
         want = exact_coefficients(g)
         assert max_coeff_rel_err(got, want) <= 1e-9
+
+
+@pytest.mark.parametrize("beta", [0.9, 0.99])
+def test_high_beta_coefficients_match_oracle(beta):
+    # zeros crowd around lambda = -1 as beta -> 1; the pair recurrence
+    # keeps the coefficients at ~1e-13 there, far inside the 1e-9 gate
+    g = random_regular_graph(random.Random(36), 12, 3, beta)
+    e = power_sums_to_elementary(power_sums(compute_coefficient_tables(g, 12)))
+    got = elementary_to_coefficients(e)
+    assert max_coeff_rel_err(got, exact_coefficients(g)) <= 1e-9
 
 
 def test_power_sum_additivity_over_disjoint_union():

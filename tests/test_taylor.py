@@ -1,8 +1,11 @@
 import cmath
 import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperising import (
     OrderCapError,
@@ -204,6 +207,14 @@ def test_out_of_range_instance_downgrades_guarantee():
     assert cmath.isfinite(ap.value)
 
 
+def test_zero_inside_disk_is_returned():
+    # beta = 1.25 is out of range: Z = (1 + 2 lam)(1 + lam / 2) vanishes
+    # at lam = -1/2, where the polynomial path lands exactly on the zero
+    ap = approximate_partition(k2(1.25), -0.5, 0.1)
+    assert not ap.guaranteed and ap.evaluation == "polynomial"
+    assert ap.value == 0 and ap.log_estimate.real == -math.inf
+
+
 def test_estimator_reuses_tables_across_arguments():
     g = path_graph(8, 0.3)
     est = PartitionEstimator(g)
@@ -216,3 +227,64 @@ def test_estimator_reuses_tables_across_arguments():
 def test_empty_host():
     ap = approximate_partition(edgeless(0), 0.5, 0.1)
     assert ap.value == 1.0
+
+
+def test_series_path_below_host_size():
+    g = path_graph(30, 0.5)
+    est = PartitionEstimator(g)
+    ap = est.approximate(0.3, 0.1)
+    assert ap.evaluation == "series" and ap.order < g.n
+    p = est.power_sums_up_to(ap.order)
+    assert ap.log_estimate == truncated_log_partition(p, 0.3, ap.order)
+
+
+@pytest.mark.parametrize("lam", [0.9999999, 1 / 0.9999999])
+def test_saturated_order_does_bounded_work(lam):
+    # m is about 2.3e8 here; summing that many series terms does not finish
+    start = time.perf_counter()
+    ap = approximate_partition(k2(0.5), lam, 0.01)
+    assert time.perf_counter() - start < 1.0
+    assert ap.evaluation == "polynomial"
+    assert ap.order > 10 ** 8 and ap.bound <= 0.01 / 4
+    assert rel_err(ap.value, exact_partition(k2(0.5), lam)) <= 0.01
+    inner = ap.value / lam ** 2 if ap.inverted else ap.value
+    assert cmath.exp(ap.log_estimate) == pytest.approx(inner)
+
+
+def _exact_chain_partition(n: int, beta: float, lam: float) -> Fraction:
+    """Z of the n-vertex Ising chain in exact rational arithmetic, from the
+    exact binary values of the float arguments."""
+    b, x = Fraction(beta), Fraction(lam)
+    total = Fraction(0)
+    for s in range(1 << n):
+        cut = sum((s >> i & 1) != (s >> (i + 1) & 1) for i in range(n - 1))
+        total += b ** cut * x ** bin(s).count("1")
+    return total
+
+
+@pytest.mark.parametrize("lam", [-0.999, -0.9999])
+def test_clustered_zeros_against_rational_sum(lam):
+    # at beta near 1 the zeros crowd around lambda = -1
+    g = path_graph(8, 0.999)
+    exact = float(_exact_chain_partition(8, 0.999, lam))
+    for eps in (0.1, 0.01):
+        ap = approximate_partition(g, lam, eps)
+        assert ap.evaluation == "polynomial" and ap.guaranteed
+        assert rel_err(ap.value, exact) <= eps
+
+
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1),
+       activity=st.sampled_from(["in-range", "mixed"]),
+       r=st.floats(0.9, 0.9999), theta=st.floats(0, 2 * math.pi),
+       eps=st.sampled_from([0.1, 0.01]))
+def test_guaranteed_estimates_match_oracle_near_circle(n, seed, activity, r,
+                                                        theta, eps):
+    g = random_connected_hypergraph(random.Random(seed), n, 4, 4,
+                                    activity=activity)
+    est = PartitionEstimator(g)
+    lam = cmath.rect(r, theta)
+    for arg in (lam, 1 / lam):
+        ap = est.approximate(arg, eps)
+        if ap.guaranteed:
+            assert rel_err(ap.value, exact_partition(g, arg)) <= eps
