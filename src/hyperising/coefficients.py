@@ -13,16 +13,30 @@ the per-insect coefficients obey a convolution recurrence:
 with w(S) the signed edge-weight product of the insect induced by S
 (boundary spins fixed to "-"). The ordered pairs are the 3-colorings
 {S1 only, S2 only, both} of L pruned to connected S2, so at most 4^t of
-them are scanned per label set and order; pairs too large to matter for
-any order up to the requested maximum are never generated.
+them are counted per label set and order.
 
-Label sets are handled as integer bitmasks throughout. The pair sum is
-compressed before the per-order sweep: for a fixed (L, S2) all choices of
-S1 with the same size i share the factor a_{t-i}(S2), so their signed
-weights collapse into one row (L, S2, i). Rows are built with vectorized
-subset expansion and the order sweep gathers row prefixes sorted by
-i + |S2|, which is exactly the "pairs small enough for this order"
-condition.
+The pair sum is compressed before the per-order sweep: for a fixed
+(L, S2) all choices of S1 with the same size i share the factor
+a_{t-i}(S2), so their signed weights collapse into one row (L, S2, i).
+Rows are built one set size k at a time, in local coordinates where bit
+b of a mask stands for the b-th vertex of L, so the host size never
+enters the mask width:
+
+* the edge-product lattice E[x] over the 2^k subsets x of L, from the
+  spin tables of the edges that meet L (no other edge involves x), so
+  that w(x) = (-1)^|x| E[x];
+* the ranked superset sums G_r[d] = sum over Y ⊆ L \\ d with |Y| = r of
+  E[d | Y] (the ranked zeta transform of Björklund, Husfeldt, Kaski and
+  Koivisto, "Fourier meets Möbius", STOC 2007). With S2 = L \\ d each
+  choice S1 = d ∪ Y of size i = |d| + r has signed weight
+  (-1)^(i-1) w(S1) = -E[S1], so the row coefficient is -G_r[d], standing
+  for binom(|S2|, r) pairs;
+* the family index of every subset of L, read off the index tables of
+  the sets L \\ {v} one size down; it marks which S2 are connected.
+
+A row is needed at order t once |S1| + |S2| = |L| + r <= t, so the order
+sweep gathers row prefixes sorted by |L| + r. Label sets are keyed by
+integer bitmasks in the finished tables.
 
 Elementary symmetric functions of the reciprocal roots follow from the
 power sums by Newton's identities; with the all-minus normalization the
@@ -37,12 +51,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, Insect, IsingActivity, induced_insect
-from .oracle import _edge_weights
+from .hypergraph import Hypergraph, Insect, induced_insect
 from .subgraphs import DEFAULT_SET_CAP, ConnectedFamily, enumerate_connected
 
-_CHUNK_PAIRS = 1 << 21   # cap on expanded (S1, S2) pairs held at once
-_CHUNK_GROUPS = 1 << 16  # cap on (L, S2) groups per chunk (dense key space)
+# local subsets per chunk of same-size sets: bounds the lattices, ranked
+# sums and gathers held at once
+_LATTICE_CELLS = 1 << 17
 
 
 def insect_weight(ins: Insect) -> complex:
@@ -60,102 +74,14 @@ def insect_weight_of(g: Hypergraph, labels: Iterable[int]) -> complex:
     return insect_weight(induced_insect(g, labels))
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _mask_weights(g: Hypergraph, masks: np.ndarray) -> np.ndarray:
-    """Vectorized insect weights (-1)^|S| prod phi_e for label-set masks."""
-    sign = 1.0 - 2.0 * (np.bitwise_count(masks) & 1)
-    return sign * _edge_weights(g, masks)
-
-
-def _connected_submasks(lmask: int, nbr: Sequence[int]) -> list[int]:
-    """All nonempty connected label subsets of lmask (host-edge traces).
-
-    Grows sets one vertex at a time, carrying the edge neighborhood of
-    each set so extension looks only at the newly added vertex.
-    """
-    cur = {1 << v: nbr[v] for v in _bits(lmask)}
-    out = sorted(cur)
-    while cur:
-        grown: dict[int, int] = {}
-        for s, reach in cur.items():
-            cand = reach & lmask & ~s
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                ns = s | low
-                if ns not in grown:
-                    grown[ns] = reach | nbr[low.bit_length() - 1]
-        out.extend(sorted(grown))
-        cur = grown
-    return out
-
-
-def _submasks_by_size(mask: int) -> tuple[np.ndarray, np.ndarray]:
-    """All submasks of mask sorted by popcount, plus prefix offsets so the
-    slice [:prefix[j+1]] holds every submask with at most j bits."""
-    subs = np.zeros(1, dtype=np.int64)
-    for v in _bits(mask):
-        subs = np.concatenate([subs, subs | (1 << v)])
-    counts = np.bitwise_count(subs)
-    order = np.argsort(counts, kind="stable")
-    subs = subs[order]
-    counts = counts[order]
-    k = mask.bit_count()
-    prefix = np.searchsorted(counts, np.arange(k + 2), side="left")
-    return subs, prefix
-
-
-class _PyWeights:
-    """Scalar insect-weight evaluation with a mask-keyed cache; used for
-    hosts too large for int64 masks."""
-
-    def __init__(self, g: Hypergraph):
-        self._cache: dict[int, complex] = {}
-        self._edges = []
-        for e in g.edges:
-            emask = 0
-            for v in e.vertices:
-                emask |= 1 << v
-            beta = e.activity.beta if isinstance(e.activity, IsingActivity) else None
-            self._edges.append((emask, beta, e.vertices, e.activity))
-
-    def __call__(self, mask: int) -> complex:
-        w = self._cache.get(mask)
-        if w is not None:
-            return w
-        w = complex(1.0) if mask.bit_count() % 2 == 0 else complex(-1.0)
-        for emask, beta, verts, activity in self._edges:
-            part = mask & emask
-            if not part:
-                continue
-            if beta is not None:
-                if part != emask:
-                    w *= beta
-            else:
-                local = 0
-                for j, v in enumerate(verts):
-                    local |= (mask >> v & 1) << j
-                w *= activity.value(local, len(verts))
-        self._cache[mask] = w
-        return w
-
-
 @dataclass(frozen=True)
 class CoefficientTable:
     """Per-order maps from connected label sets to power-sum coefficients.
 
     tables[t-1] covers order t, keyed by label-set bitmask, with exactly
     the connected sets of size <= t. pair_scan_max[t-1] is the largest
-    number of (S1, S2) pairs scanned for any one label set at order t
-    (bounded by 4^t).
+    number of (S1, S2) pairs in the recurrence of any one label set at
+    order t (bounded by 4^t).
     """
 
     m: int
@@ -169,161 +95,104 @@ class CoefficientTable:
         return self.tables[t - 1][mask]
 
 
-def _binomial_prefix(depth: int) -> np.ndarray:
-    """table[k, j] = number of submasks of a k-bit mask with < j bits."""
-    table = np.zeros((depth + 1, depth + 2), dtype=np.int64)
-    for k in range(depth + 1):
-        acc = 0
-        for j in range(depth + 2):
-            table[k, j] = acc
-            if j <= k:
-                acc += math.comb(k, j)
-    return table
+def _edge_arrays(g: Hypergraph):
+    """Padded edge data: incident edge ids per vertex, vertex ids per edge
+    and spin tables per edge. The extra last edge meets nothing and has
+    an all-ones table, so it pads every slot without changing a product."""
+    dummy = len(g.edges)
+    incident = g.incident_index()
+    inc = np.full((g.n, max(1, g.max_degree)), dummy, dtype=np.int64)
+    for v, ids in enumerate(incident):
+        inc[v, :len(ids)] = ids
+    width = max(1, g.max_edge_size)
+    ev = np.full((dummy + 1, width), -1, dtype=np.int64)
+    tab = np.ones((dummy + 1, 1 << width), dtype=np.complex128)
+    for i, e in enumerate(g.edges):
+        ev[i, :e.size] = e.vertices
+        tab[i, :1 << e.size] = e.activity.table(e.size)
+    return inc, ev, tab
 
 
-def _build_rows(g: Hypergraph, m: int, set_masks: np.ndarray,
-                set_sizes: np.ndarray, idx_of: dict[int, int], nbr):
-    """Compressed pair rows (total, L index, S2 index, i, coeff, multiplicity).
+def _edge_products(sets: np.ndarray, inc: np.ndarray, ev: np.ndarray,
+                   tab: np.ndarray) -> np.ndarray:
+    """E[j, x] = product of the edge weights when the subset of sets[j] at
+    local mask x is "+" and every other vertex is "-".
 
-    coeff accumulates (-1)^(i-1) w(S1) over the S1 of one size i within a
-    (L, S2) group; multiplicity counts the underlying pairs so the 4^t
-    scan rail can still be checked.
+    Only the edges meeting sets[j] enter the product, each read from its
+    spin table at the pattern x puts on the edge.
     """
-    nsets = len(set_masks)
-    gl: list[int] = []       # group -> L set index
-    gc: list[int] = []       # group -> S2 set index
-    gd: list[int] = []       # group -> mask of L \ S2
-    for j in range(nsets):
-        lmask = int(set_masks[j])
-        subs = _connected_submasks(lmask, nbr)
-        gl.extend([j] * len(subs))
-        gc.extend(idx_of[s2] for s2 in subs)
-        gd.extend(lmask & ~s2 for s2 in subs)
-    gl = np.asarray(gl, dtype=np.int64)
-    gc = np.asarray(gc, dtype=np.int64)
-    gd = np.asarray(gd, dtype=np.int64)
-    ngroups = len(gl)
-
-    # One submask buffer per family set, each ordered by popcount; a
-    # binomial prefix table turns the per-group cap |Y| <= m - |L| into a
-    # prefix length without touching the masks.
-    chunks = [_submasks_by_size(int(mask))[0] for mask in set_masks]
-    sub_offsets = np.zeros(nsets + 1, dtype=np.int64)
-    np.cumsum([len(c) for c in chunks], out=sub_offsets[1:])
-    sub_buffer = np.concatenate(chunks) if chunks else np.zeros(0, np.int64)
-    btab = _binomial_prefix(int(set_sizes.max()) if nsets else 0)
-    eff = np.minimum(m - set_sizes[gl], set_sizes[gc])
-    lens = btab[set_sizes[gc], eff + 1]
-
-    # small hosts: one weight per possible mask, indexed directly
-    w_all = (_mask_weights(g, np.arange(1 << g.n, dtype=np.int64))
-             if g.n <= 20 else None)
-
-    depth_plus = m + 1
-    key_parts: list[np.ndarray] = []
-    coef_parts: list[np.ndarray] = []
-    mult_parts: list[np.ndarray] = []
-
-    start = 0
-    while start < ngroups:
-        stop = start
-        budget = 0
-        while (stop < ngroups and budget + lens[stop] <= _CHUNK_PAIRS
-               and stop - start < _CHUNK_GROUPS):
-            budget += lens[stop]
-            stop += 1
-        stop = max(stop, start + 1)
-        sel = slice(start, stop)
-        chunk_lens = lens[sel]
-        total = int(chunk_lens.sum())
-        starts = np.zeros(stop - start, dtype=np.int64)
-        np.cumsum(chunk_lens[:-1], out=starts[1:])
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, chunk_lens)
-        flat_sub = sub_buffer[np.repeat(sub_offsets[gc[sel]], chunk_lens) + within]
-        rep_d = np.repeat(gd[sel], chunk_lens)
-        rep_lid = np.repeat(np.arange(stop - start, dtype=np.int64), chunk_lens)
-        s1 = rep_d | flat_sub
-        keep = s1 != 0
-        s1 = s1[keep]
-        rep_lid = rep_lid[keep]
-        sizes1 = np.bitwise_count(s1).astype(np.int64)
-        if w_all is not None:
-            w = w_all[s1]
-        else:
-            uniq, inv = np.unique(s1, return_inverse=True)
-            w = _mask_weights(g, uniq)[inv]
-        w *= 1.0 - 2.0 * ((sizes1 & 1) == 0)  # (-1)^(i-1)
-        key = rep_lid * depth_plus + sizes1
-        dense = (stop - start) * depth_plus
-        mult = np.bincount(key, minlength=dense)
-        coef = np.bincount(key, weights=w.real, minlength=dense).astype(
-            np.complex128)
-        coef += 1j * np.bincount(key, weights=w.imag, minlength=dense)
-        used = np.flatnonzero(mult)
-        key_parts.append(used + start * depth_plus)
-        coef_parts.append(coef[used])
-        mult_parts.append(mult[used])
-        start = stop
-
-    if key_parts:
-        keys = np.concatenate(key_parts)
-        coefs = np.concatenate(coef_parts)
-        mults = np.concatenate(mult_parts)
-    else:
-        keys = np.zeros(0, dtype=np.int64)
-        coefs = np.zeros(0, dtype=np.complex128)
-        mults = np.zeros(0, dtype=np.int64)
-    gids = keys // depth_plus
-    row_i = keys % depth_plus
-    row_l = gl[gids]
-    row_c = gc[gids]
-    totals = row_i + set_sizes[row_c]
-    order = np.argsort(totals, kind="stable")
-    return (totals[order], row_l[order], row_c[order], row_i[order],
-            coefs[order], mults[order])
+    nsets, k = sets.shape
+    dummy = len(tab) - 1
+    # the distinct edges meeting each set; repeats become the dummy edge
+    slot = np.sort(inc[sets].reshape(nsets, -1), axis=1)
+    slot[:, 1:][slot[:, 1:] == slot[:, :-1]] = dummy
+    slot = np.sort(slot, axis=1)
+    slot = slot[:, :np.count_nonzero(slot.min(axis=0) < dummy)]
+    # place[j, s, i] = 2^p when the i-th vertex of set j is the p-th
+    # vertex of edge slot s, so the table code of local mask x is
+    # sum_i bit_i(x) * place[j, s, i]
+    hit = ev[slot][..., None] == sets[:, None, None, :]
+    place = (1 << np.arange(ev.shape[1])) @ hit
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    codes = (slot * tab.shape[1])[:, :, None] + place @ bits.T
+    return tab.ravel()[codes].prod(axis=1)
 
 
-def _build_rows_python(g: Hypergraph, m: int, masks: list[int],
-                       sizes: list[int], idx_of: dict[int, int], nbr,
-                       weight: _PyWeights):
-    """Row construction on unbounded python-int masks (hosts > 62 vertices)."""
-    acc: dict[tuple[int, int, int], complex] = {}
-    mult: dict[tuple[int, int, int], int] = {}
-    for j, lmask in enumerate(masks):
-        ycap = m - sizes[j]
-        for s2 in _connected_submasks(lmask, nbr):
-            cj = idx_of[s2]
-            base = lmask & ~s2
-            base_size = base.bit_count()
-            s2_bits = _bits(s2)
-            members: list[int] = [0]
-            for v in s2_bits:
-                members.extend([x | (1 << v) for x in members])
-            for y in members:
-                ysize = y.bit_count()
-                if ysize > ycap:
-                    continue
-                s1 = base | y
-                if not s1:
-                    continue
-                i = base_size + ysize
-                w = weight(s1)
-                key = (j, cj, i)
-                prev = acc.get(key)
-                if prev is None:
-                    acc[key] = w if i % 2 == 1 else -w
-                    mult[key] = 1
-                else:
-                    acc[key] = prev + (w if i % 2 == 1 else -w)
-                    mult[key] += 1
-    rows = sorted(acc, key=lambda key: key[2] + sizes[key[1]])
-    totals = np.asarray([key[2] + sizes[key[1]] for key in rows], dtype=np.int64)
-    row_l = np.asarray([key[0] for key in rows], dtype=np.int64)
-    row_c = np.asarray([key[1] for key in rows], dtype=np.int64)
-    row_i = np.asarray([key[2] for key in rows], dtype=np.int64)
-    coefs = np.asarray([acc[key] for key in rows], dtype=np.complex128)
-    mults = np.asarray([mult[key] for key in rows], dtype=np.int64)
-    return totals, row_l, row_c, row_i, coefs, mults
+def _subset_index(idx: np.ndarray, offset: int, parents: np.ndarray,
+                  prev: np.ndarray) -> None:
+    """Fill idx[j, x], preset to -1, with the family index of the subset
+    at local mask x of the j-th set, leaving -1 where that subset is empty
+    or disconnected; the j-th set itself has index offset + j.
+
+    prev is the same table one size down, and parents[j, v] is the row of
+    prev for the set minus its v-th vertex. When that set is disconnected
+    the row is -1, the last row of every table, which is all -1. A
+    connected proper subset x misses a vertex v whose removal keeps the
+    set connected (a leaf of a spanning tree grown from x), so some row
+    lists it; every row lists a disconnected x as -1.
+    """
+    nsets, k = parents.shape
+    idx[:, -1] = offset + np.arange(nsets)
+    for v in range(k):
+        lacking = idx.reshape(nsets, -1, 2, 1 << v)[:, :, 0, :]
+        np.maximum(lacking, prev[parents[:, v]].reshape(lacking.shape),
+                   out=lacking)
+
+
+def _ranked_superset_sums(e: np.ndarray, r_max: int) -> np.ndarray:
+    """G[r, j, d] = sum over Y disjoint from d with |Y| = r of e[j, d | Y]."""
+    if r_max == 0:
+        return e[None]
+    nsets, size = e.shape
+    g = np.zeros((r_max + 1, nsets, size), dtype=np.complex128)
+    g[0] = e
+    for b in range(size.bit_length() - 1):
+        half = g.reshape(r_max + 1, nsets, -1, 2, 1 << b)
+        half[1:, :, :, 0] += half[:-1, :, :, 1]
+    return g
+
+
+def _size_rows(idx: np.ndarray, e: np.ndarray, k: int, m: int,
+               offset: int) -> list[tuple]:
+    """Rows (L index, S2 index, i, coeff, multiplicity) of the sets of
+    size k, one group per r = |Y|; a row is needed from order k + r on."""
+    full = (1 << k) - 1
+    r_max = min(m - k, k)
+    g = _ranked_superset_sums(e, r_max)
+    jj, s2 = np.nonzero(idx >= 0)
+    s2_size = np.bitwise_count(s2)
+    # every r <= |S2| except r = 0 with S2 = L, where S1 would be empty
+    wanted = np.arange(r_max + 1)[:, None] <= s2_size
+    wanted[0, s2 == full] = False
+    r, pick = np.nonzero(wanted)
+    jj, s2, s2_size = jj[pick], s2[pick], s2_size[pick]
+    i = r + k - s2_size
+    coef = -g[r, jj, full ^ s2]
+    binom = np.asarray([[math.comb(a, b) for b in range(r_max + 1)]
+                        for a in range(k + 1)], dtype=np.int64)
+    rows = (jj + offset, idx[jj, s2], i, coef, binom[s2_size, r])
+    cuts = np.searchsorted(r, np.arange(r_max + 2)).tolist()
+    return [tuple(col[a:b] for col in rows) for a, b in zip(cuts, cuts[1:])]
 
 
 def compute_coefficient_tables(
@@ -345,39 +214,47 @@ def compute_coefficient_tables(
     elif fam.t_max < depth:
         raise ValueError(f"family enumerated to {fam.t_max}, need {depth}")
 
-    nbr = [0] * g.n
-    for e in g.edges:
-        emask = 0
-        for v in e.vertices:
-            emask |= 1 << v
-        for v in e.vertices:
-            nbr[v] |= emask
-
+    inc, ev, tab = _edge_arrays(g)
     masks: list[int] = []
-    for s in range(1, depth + 1):
-        for lab in fam.sets_of_size(s):
-            mask = 0
-            for v in lab:
-                mask |= 1 << v
-            masks.append(mask)
+    weight_parts: list[np.ndarray] = []
+    rows_by_order: list[list[tuple]] = [[] for _ in range(m + 1)]
+    # size 0 holds the empty set, whose one subset is not a set; every
+    # index table ends in an all -1 row for parents that are not sets
+    below = {0: 0}
+    idx = np.full((2, 1), -1, dtype=np.int64)
+    for k in range(1, depth + 1):
+        labs = fam.sets_of_size(k)
+        if not labs:
+            break
+        offset = len(masks)
+        batch = [sum(1 << v for v in lab) for lab in labs]
+        parents = np.asarray(
+            [[below.get(mask ^ (1 << v), -1) for v in lab]
+             for mask, lab in zip(batch, labs)], dtype=np.int64)
+        below = {mask: j for j, mask in enumerate(batch)}
+        masks.extend(batch)
+        sets = np.asarray(labs, dtype=np.int64)
+        prev = idx
+        idx = np.full((len(labs) + 1, 1 << k), -1, dtype=np.int64)
+        step = max(1, _LATTICE_CELLS >> k)
+        for lo in range(0, len(labs), step):
+            part = slice(lo, min(lo + step, len(labs)))
+            e = _edge_products(sets[part], inc, ev, tab)
+            weight_parts.append(e[:, -1] * (-1) ** k)
+            _subset_index(idx[part], offset + lo, parents[part], prev)
+            for r, rows in enumerate(_size_rows(idx[part], e, k, m,
+                                                offset + lo)):
+                rows_by_order[k + r].append(rows)
     nsets = len(masks)
+    set_weights = np.concatenate(weight_parts)
     sizes = [mask.bit_count() for mask in masks]
-    idx_of = {mask: j for j, mask in enumerate(masks)}
     set_sizes = np.asarray(sizes, dtype=np.int64)
-
-    if g.n <= 62:
-        set_masks = np.asarray(masks, dtype=np.int64)
-        set_weights = _mask_weights(g, set_masks)
-        totals, row_l, row_c, row_i, row_coef, row_mult = _build_rows(
-            g, m, set_masks, set_sizes, idx_of, nbr)
-    else:
-        weight = _PyWeights(g)
-        set_weights = np.asarray([weight(mask) for mask in masks],
-                                 dtype=np.complex128)
-        totals, row_l, row_c, row_i, row_coef, row_mult = _build_rows_python(
-            g, m, masks, sizes, idx_of, nbr, weight)
-    boundaries = np.searchsorted(totals, np.arange(m + 1), side="right")
-
+    boundaries = np.cumsum([sum(len(rows[0]) for rows in group)
+                            for group in rows_by_order])
+    row_l, row_c, row_i, row_coef, row_mult = (
+        np.concatenate(column) for column in
+        zip(*(rows for group in rows_by_order for rows in group)))
+    del rows_by_order, idx, prev  # the sweep needs only the flat rows
     values = np.zeros((m + 1, nsets), dtype=np.complex128)
     first = set_sizes == 1
     values[1, first] = set_weights[first]

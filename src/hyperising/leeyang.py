@@ -250,7 +250,9 @@ def max_cosine_product(k: int, windings: int, verify: bool = False,
     """Maximum of prod_{i=1..k} cos(theta_i) over |theta_i| <= pi/2 with
     sum theta_i = windings*pi; equals cos^k(windings*pi/k) at the
     symmetric point. With verify=True a constrained numerical maximizer
-    (symmetric start plus random restarts) must agree within agree_tol.
+    (symmetric start plus random restarts) must agree within agree_tol;
+    that check needs scipy, which the package installs only with its
+    `test` extra (`pip install -e .[test]`).
     """
     if k < 1:
         raise ValueError("k must be >= 1")

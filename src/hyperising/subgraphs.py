@@ -40,11 +40,6 @@ class ConnectedFamily:
         for s in range(1, limit + 1):
             yield from self.by_size[s - 1]
 
-    def membership(self) -> frozenset[frozenset[int]]:
-        return frozenset(
-            frozenset(s) for size in self.by_size for s in size
-        )
-
     def counts(self) -> dict[int, int]:
         return {s + 1: len(v) for s, v in enumerate(self.by_size)}
 

@@ -21,7 +21,8 @@ from hyperising import (
 )
 from hyperising.instances import random_connected_hypergraph, random_regular_graph
 
-from conftest import edgeless, k2, max_coeff_rel_err, single_edge, triangle
+from conftest import (brute_connected_sets, edgeless, k2, max_coeff_rel_err,
+                      single_edge, triangle)
 
 
 def test_insect_weight_examples():
@@ -182,6 +183,63 @@ def test_pair_scan_within_rail():
     ct = compute_coefficient_tables(g, 10)
     for t, scanned in enumerate(ct.pair_scan_max, start=1):
         assert scanned <= 4 ** t
+
+
+def test_tables_and_pair_scan_match_literal_recurrence():
+    # the recurrence of the coefficients module docstring, summed pair by
+    # pair over every subset with the insect-layer weights; pair_scan_max
+    # is the largest number of pairs any connected L has at order t
+    rng = random.Random(23)
+    for n in range(2, 8):
+        g = random_connected_hypergraph(rng, n, 4, 4, activity="mixed")
+        w = {mask: insect_weight_of(g, [v for v in range(n) if mask >> v & 1])
+             for mask in range(1, 1 << n)}
+        connected = sorted(sum(1 << v for v in s)
+                           for sets in brute_connected_sets(g, n).values()
+                           for s in sets)
+        for m in (n, n + 2):
+            a, scans = {}, []
+            for t in range(1, m + 1):
+                scan = 0
+                for lmask in connected:
+                    if lmask.bit_count() > t:
+                        continue
+                    acc, pairs = 0j, 0
+                    for s2 in connected:
+                        if s2 & ~lmask:
+                            continue
+                        for y in range(s2 + 1):
+                            s1 = (lmask & ~s2) | y
+                            i = s1.bit_count()
+                            if y & ~s2 or not s1 or i + s2.bit_count() > t:
+                                continue
+                            acc += (-1) ** (i - 1) * w[s1] * a[t - i, s2]
+                            pairs += 1
+                    if lmask.bit_count() == t:
+                        acc += (-1) ** (t - 1) * t * w[lmask]
+                    a[t, lmask] = acc
+                    scan = max(scan, pairs)
+                scans.append(scan)
+            ct = compute_coefficient_tables(g, m)
+            assert list(ct.pair_scan_max) == scans
+            for (t, lmask), want in a.items():
+                got = ct.tables[t - 1][lmask]
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_host_past_62_vertices():
+    # 60 isolated vertices next to a mixed 10-vertex host: each isolated
+    # vertex adds a root at -1, so p_t grows by 60 (-1)^t
+    small = random_connected_hypergraph(random.Random(11), 10, 4, 4,
+                                        activity="mixed")
+    g = disjoint_union(edgeless(60), small)
+    assert g.n == 70
+    kinds = {type(e.activity).__name__ for e in g.edges}
+    assert kinds == {"IsingActivity", "TableActivity"}
+    p = power_sums(compute_coefficient_tables(g, 10))
+    p_small = power_sums(compute_coefficient_tables(small, 10))
+    for t in range(1, 11):
+        assert abs(p[t - 1] - (p_small[t - 1] + 60 * (-1) ** t)) <= 1e-12
 
 
 def test_tables_beyond_host_size_match_root_sums():
