@@ -8,8 +8,6 @@ from .coefficients import (
     compute_coefficient_tables,
     elementary_to_coefficients,
     extend_power_sums,
-    insect_weight,
-    insect_weight_of,
     power_sums,
     power_sums_to_elementary,
 )
@@ -26,15 +24,10 @@ from .errors import (
 from .hypergraph import (
     Hyperedge,
     Hypergraph,
-    Insect,
     IsingActivity,
     TableActivity,
-    compatible,
     disjoint_union,
     hypergraph_to_doc,
-    induced_insect,
-    is_connected,
-    make_insect,
     parse_hypergraph,
 )
 from .leeyang import (
@@ -45,7 +38,6 @@ from .leeyang import (
     check_activity_ranges,
     disk_product_real_extremes,
     ising_ly_range,
-    max_cosine_product,
     off_circle_witness,
     suzuki_fisher_check,
     verify_zeros_on_circle,
@@ -63,7 +55,6 @@ from .subgraphs import (
     ConnectedFamily,
     count_bound,
     enumerate_connected,
-    subtree_count_bound,
 )
 from .taylor import (
     PartitionEstimator,

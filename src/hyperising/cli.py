@@ -22,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
+from .coefficients import elementary_to_coefficients
 from .errors import HyperIsingError, SchemaError
 from .hypergraph import Hyperedge, Hypergraph, IsingActivity, parse_hypergraph
 from .instances import random_regular_graph
@@ -329,9 +330,7 @@ def _cmd_coeffs(args) -> dict:
     result = {
         "power_sums": [_cnum(x) for x in p],
         "elementary": [_cnum(x) for x in e],
-        "coefficients": [_cnum(complex(1.0))] + [
-            _cnum(x if (i + 1) % 2 == 0 else -x) for i, x in enumerate(e)
-        ],
+        "coefficients": [_cnum(c) for c in elementary_to_coefficients(e)],
     }
     params = {"m": args.m, "m_cap": args.m_cap, "memory_cap": args.memory_cap}
     return _report("coeffs", digest, params, result, None,

@@ -2,7 +2,7 @@
 
 For a fixed host, the t-th power sum of reciprocal partition-polynomial
 roots decomposes over connected label sets S as p_t = sum_S a_t(S), where
-the per-insect coefficients obey a convolution recurrence:
+the per-set coefficients obey a convolution recurrence:
 
     a_1(S)  = w(S) for singletons,
     a_t(L)  = sum over ordered pairs (S1, S2) with S1 ∪ S2 = L,
@@ -10,10 +10,10 @@ the per-insect coefficients obey a convolution recurrence:
               (-1)^(|S1|-1) * w(S1) * a_{t-|S1|}(S2)
             + (-1)^(t-1) * t * w(L)   when |L| = t,
 
-with w(S) the signed edge-weight product of the insect induced by S
-(boundary spins fixed to "-"). The ordered pairs are the 3-colorings
-{S1 only, S2 only, both} of L pruned to connected S2, so at most 4^t of
-them are counted per label set and order.
+with w(S) = (-1)^|S| times the product, over the edges meeting S, of the
+edge weight when S is "+" and every other vertex is "-". The ordered
+pairs are the 3-colorings {S1 only, S2 only, both} of L pruned to
+connected S2, so at most 4^t of them are counted per label set and order.
 
 The pair sum is compressed before the per-order sweep: for a fixed
 (L, S2) all choices of S1 with the same size i share the factor
@@ -47,31 +47,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, Insect, induced_insect
+from .hypergraph import Hypergraph
 from .subgraphs import DEFAULT_SET_CAP, ConnectedFamily, enumerate_connected
 
 # local subsets per chunk of same-size sets: bounds the lattices, ranked
 # sums and gathers held at once
 _LATTICE_CELLS = 1 << 17
-
-
-def insect_weight(ins: Insect) -> complex:
-    """(-1)^|S| times the product of carried edge weights with the label
-    set at spin "+" and everything else (including the boundary) at "-"."""
-    plus = frozenset(ins.labels)
-    w = complex(1.0) if len(ins.labels) % 2 == 0 else complex(-1.0)
-    for e in ins.edges:
-        w *= e.value_on(plus)
-    return w
-
-
-def insect_weight_of(g: Hypergraph, labels: Iterable[int]) -> complex:
-    """Weight of the insect induced in g by a label set."""
-    return insect_weight(induced_insect(g, labels))
 
 
 @dataclass(frozen=True)
@@ -87,12 +72,6 @@ class CoefficientTable:
     m: int
     tables: tuple[dict[int, complex], ...]
     pair_scan_max: tuple[int, ...]
-
-    def coefficient(self, t: int, labels: Iterable[int]) -> complex:
-        mask = 0
-        for v in labels:
-            mask |= 1 << v
-        return self.tables[t - 1][mask]
 
 
 def _edge_arrays(g: Hypergraph):

@@ -1,4 +1,4 @@
-"""Hypergraphs with two-spin edge activities, and labelled sub-structures.
+"""Hypergraphs with two-spin edge activities.
 
 A hypergraph has dense integer vertex ids 0..n-1 and an ordered list of
 hyperedges; duplicate hyperedges are allowed and count with multiplicity
@@ -6,18 +6,14 @@ in the degree. Each edge carries either a single Ising interaction beta
 (weight beta when the edge is cut, 1 when its vertices agree) or a full
 table of complex weights indexed by the spin pattern on the edge.
 
-An "insect" is a label set S together with every hyperedge meeting S;
-vertices of those edges outside S form the boundary and are evaluated as
-spin "-". Insects are the unit the coefficient dynamic program works on.
-
 All types are immutable after construction and safe to share across
 threads; the operations are pure functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from dataclasses import dataclass
+from typing import Mapping, Union
 
 from .errors import SchemaError
 
@@ -30,11 +26,6 @@ class IsingActivity:
 
     beta: float
 
-    def value(self, plus_bits: int, size: int) -> complex:
-        if plus_bits == 0 or plus_bits == (1 << size) - 1:
-            return complex(1.0)
-        return complex(self.beta)
-
     def is_symmetric(self, size: int) -> bool:
         # real table, invariant under a global spin flip
         return True
@@ -44,10 +35,9 @@ class IsingActivity:
 
     def table(self, size: int) -> tuple[complex, ...]:
         """Expand to the explicit table over the 2^size spin patterns."""
-        return tuple(self.value(b, size) for b in range(1 << size))
-
-    def sort_key(self):
-        return (0, (self.beta,))
+        full = (1 << size) - 1
+        return tuple(complex(1.0) if b in (0, full) else complex(self.beta)
+                     for b in range(1 << size))
 
 
 @dataclass(frozen=True)
@@ -68,9 +58,6 @@ class TableActivity:
         if self.values[0] != 1:
             raise SchemaError("spin table is not normalized: phi(-,...,-) != 1")
 
-    def value(self, plus_bits: int, size: int) -> complex:
-        return self.values[plus_bits]
-
     def is_symmetric(self, size: int) -> bool:
         full = (1 << size) - 1
         return all(
@@ -83,9 +70,6 @@ class TableActivity:
 
     def table(self, size: int) -> tuple[complex, ...]:
         return self.values
-
-    def sort_key(self):
-        return (1, tuple((v.real, v.imag) for v in self.values))
 
 
 EdgeActivity = Union[IsingActivity, TableActivity]
@@ -115,19 +99,8 @@ class Hyperedge:
     def size(self) -> int:
         return len(self.vertices)
 
-    def value_on(self, plus_set: frozenset[int]) -> complex:
-        """Edge weight when exactly the vertices in plus_set carry spin +."""
-        bits = 0
-        for j, v in enumerate(self.vertices):
-            if v in plus_set:
-                bits |= 1 << j
-        return self.activity.value(bits, len(self.vertices))
-
     def is_symmetric(self) -> bool:
         return self.activity.is_symmetric(len(self.vertices))
-
-    def sort_key(self):
-        return (self.vertices, self.activity.sort_key())
 
 
 @dataclass(frozen=True)
@@ -174,111 +147,6 @@ class Hypergraph:
 
     def all_symmetric(self) -> bool:
         return all(e.is_symmetric() for e in self.edges)
-
-
-@dataclass(frozen=True)
-class Insect:
-    """A label set plus every carried hyperedge, each meeting the label set.
-
-    Canonical form: labels sorted, edges sorted by (vertex list, activity);
-    two insects with the same canonical form compare equal. The boundary is
-    every edge vertex outside the label set.
-    """
-
-    labels: tuple[int, ...]
-    edges: tuple[Hyperedge, ...]
-    boundary: frozenset[int] = field(init=False, compare=False, hash=False)
-
-    def __post_init__(self):
-        lset = set(self.labels)
-        if len(lset) != len(self.labels) or tuple(sorted(self.labels)) != self.labels:
-            raise SchemaError("insect labels must be sorted and duplicate-free")
-        for e in self.edges:
-            if lset.isdisjoint(e.vertices):
-                raise SchemaError("insect edge does not meet the label set")
-        keys = [e.sort_key() for e in self.edges]
-        if keys != sorted(keys):
-            raise SchemaError("insect edges not in canonical order")
-        cover: set[int] = set()
-        for e in self.edges:
-            cover.update(e.vertices)
-        object.__setattr__(self, "boundary", frozenset(cover - lset))
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-
-def make_insect(labels: Iterable[int], edges: Iterable[Hyperedge]) -> Insect:
-    """Build an insect in canonical form from unordered parts."""
-    return Insect(
-        tuple(sorted(set(labels))),
-        tuple(sorted(edges, key=lambda e: e.sort_key())),
-    )
-
-
-def induced_insect(host: Union[Hypergraph, Insect], labels: Iterable[int]) -> Insect:
-    """Sub-insect induced by a label set: keeps every host edge meeting it.
-
-    Nesting holds: inducing on T after inducing on S >= T equals inducing
-    on T directly.
-    """
-    lset = frozenset(labels)
-    if isinstance(host, Hypergraph):
-        if any(v < 0 or v >= host.n for v in lset):
-            raise SchemaError("label id out of range for host hypergraph")
-    else:
-        if not lset.issubset(host.labels):
-            raise SchemaError("labels not contained in host insect label set")
-    kept = [e for e in host.edges if not lset.isdisjoint(e.vertices)]
-    return make_insect(lset, kept)
-
-
-def is_connected(ins: Insect) -> bool:
-    """Whether the label set is connected through the edge traces e ∩ S."""
-    if not ins.labels:
-        raise SchemaError("connectivity undefined for an empty label set")
-    if len(ins.labels) == 1:
-        return True
-    pos = {v: i for i, v in enumerate(ins.labels)}
-    parent = list(range(len(ins.labels)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in ins.edges:
-        trace = [pos[v] for v in e.vertices if v in pos]
-        for a, b in zip(trace, trace[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    root = find(0)
-    return all(find(i) == root for i in range(len(ins.labels)))
-
-
-def compatible(h1: Insect, h2: Insect) -> Union[Insect, None]:
-    """Union insect of a compatible pair, or None.
-
-    The union (S1 ∪ S2, E1 ∪ E2) qualifies iff inducing it back on S1 and
-    S2 returns h1 and h2; edge lists merge as multisets over edge content
-    (per-content multiplicity is the max of the two sides, matching
-    sub-multisets of a common host edge list).
-    """
-    from collections import Counter
-
-    c1, c2 = Counter(h1.edges), Counter(h2.edges)
-    merged: list[Hyperedge] = []
-    for e in set(c1) | set(c2):
-        merged.extend([e] * max(c1[e], c2[e]))
-    union = make_insect(set(h1.labels) | set(h2.labels), merged)
-    if induced_insect(union, h1.labels) != h1:
-        return None
-    if induced_insect(union, h2.labels) != h2:
-        return None
-    return union
 
 
 def _parse_activity(obj: Mapping, size: int) -> EdgeActivity:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HyperIsingError, RootConvergenceError
+from .errors import RootConvergenceError
 from .hypergraph import Hyperedge, Hypergraph, IsingActivity
 from .oracle import DEFAULT_VERTEX_CAP, ZeroReport, polynomial_roots, polyval, zero_report
 
@@ -37,20 +37,18 @@ DEFAULT_RESIDUAL_TOL = 1e-8
 class LYRange:
     """Admissible Ising activity interval for one edge size.
 
-    `closed` records that the univariate circle statement includes the
-    endpoints (zeros vary continuously, so limits stay on the circle);
-    the multivariate nonvanishing statement holds on the open interval.
+    `contains` includes the endpoints: the univariate circle statement
+    holds there (zeros vary continuously, so limits stay on the circle),
+    while the multivariate nonvanishing statement holds on the open
+    interval only.
     """
 
     k: int
     lo: float
     hi: float
-    closed: bool = True
 
     def contains(self, beta: float) -> bool:
-        if self.closed:
-            return self.lo <= beta <= self.hi
-        return self.lo < beta < self.hi
+        return self.lo <= beta <= self.hi
 
 
 def disk_product_real_extremes(k: int) -> tuple[float, float]:
@@ -243,48 +241,3 @@ def off_circle_witness(k: int, beta: float,
         bracket_root=bracket,
     )
 
-
-def max_cosine_product(k: int, windings: int, verify: bool = False,
-                       restarts: int = 100, seed: int = 0,
-                       agree_tol: float = 1e-6) -> float:
-    """Maximum of prod_{i=1..k} cos(theta_i) over |theta_i| <= pi/2 with
-    sum theta_i = windings*pi; equals cos^k(windings*pi/k) at the
-    symmetric point. With verify=True a constrained numerical maximizer
-    (symmetric start plus random restarts) must agree within agree_tol;
-    that check needs scipy, which the package installs only with its
-    `test` extra (`pip install -e .[test]`).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if 2 * abs(windings) > k:
-        raise ValueError("infeasible: need 2|windings| <= k")
-    closed = math.cos(windings * math.pi / k) ** k
-    if verify:
-        from scipy.optimize import minimize
-
-        half = math.pi / 2
-
-        def objective(theta):
-            return -np.prod(np.cos(theta))
-
-        target = windings * math.pi
-        constraints = [{"type": "eq", "fun": lambda th: np.sum(th) - target}]
-        bounds = [(-half, half)] * k
-        starts = [np.full(k, target / k)]
-        rng = np.random.default_rng(seed)
-        for _ in range(restarts):
-            x = rng.uniform(-half, half, size=k)
-            x += (target - x.sum()) / k
-            starts.append(np.clip(x, -half, half))
-        best = -math.inf
-        for x0 in starts:
-            res = minimize(objective, x0, bounds=bounds,
-                           constraints=constraints, method="SLSQP",
-                           options={"maxiter": 200, "ftol": 1e-12})
-            if res.success and abs(np.sum(res.x) - target) < 1e-8:
-                best = max(best, -res.fun)
-        if abs(best - closed) > agree_tol:
-            raise HyperIsingError(
-                f"maximizer found {best:.9f}, closed form {closed:.9f}"
-            )
-    return closed

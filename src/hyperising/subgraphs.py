@@ -1,4 +1,7 @@
-"""Enumeration of connected induced sub-insects up to a size budget.
+"""Enumeration of connected label sets up to a size budget.
+
+A label set S is connected when the traces e ∩ S of the edges meeting S
+join all of S.
 
 Grown breadth-first by size: the family of connected label sets of size s
 is obtained by extending each connected set of size s-1 with one vertex
@@ -22,9 +25,9 @@ DEFAULT_SET_CAP = 1 << 26
 class ConnectedFamily:
     """Connected label sets of a fixed host, grouped by size.
 
-    by_size[s] lists, in lexicographic order, the label sets S with |S| = s
-    whose induced insect is connected, for 1 <= s <= t_max (sizes beyond
-    the host vertex count are empty).
+    by_size[s] lists, in lexicographic order, the connected label sets S
+    with |S| = s, for 1 <= s <= t_max (sizes beyond the host vertex count
+    are empty).
     """
 
     t_max: int
@@ -34,11 +37,6 @@ class ConnectedFamily:
         if s < 1 or s > self.t_max:
             return ()
         return self.by_size[s - 1]
-
-    def all_sets(self, up_to: int | None = None):
-        limit = self.t_max if up_to is None else min(up_to, self.t_max)
-        for s in range(1, limit + 1):
-            yield from self.by_size[s - 1]
 
     def counts(self) -> dict[int, int]:
         return {s + 1: len(v) for s, v in enumerate(self.by_size)}
@@ -94,11 +92,3 @@ def count_bound(n: int, max_degree: int, max_edge_size: int, t: int) -> float:
     if min(n, max_degree, max_edge_size, t) < 1:
         raise ValueError("all arguments must be >= 1")
     return n * (math.e * max_degree * max_edge_size) ** (t - 1) / 2.0
-
-
-def subtree_count_bound(max_degree: int, t: int) -> float:
-    """Upper bound (e*Delta)^(t-1) / 2 on the number of t-vertex subtrees
-    of a multigraph of maximum degree Delta that contain a fixed vertex."""
-    if max_degree < 1 or t < 1:
-        raise ValueError("arguments must be >= 1")
-    return (math.e * max_degree) ** (t - 1) / 2.0

@@ -9,14 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from hyperising import (
-    Hyperedge,
-    Hypergraph,
-    IsingActivity,
-    TableActivity,
-    induced_insect,
-    is_connected,
-)
+from hyperising import Hyperedge, Hypergraph, IsingActivity, TableActivity
 from hyperising.instances import random_connected_hypergraph
 
 
@@ -59,12 +52,43 @@ def table_edge(verts, values):
     return Hyperedge(tuple(sorted(verts)), TableActivity(tuple(values)))
 
 
+def set_weight(g: Hypergraph, mask: int) -> complex:
+    """w(S) of the label set S at bitmask mask: (-1)^|S| times the product,
+    over the edges meeting S, of the table value with S at "+" and every
+    other vertex (the boundary included) at "-"."""
+    w = complex((-1) ** mask.bit_count())
+    for e in g.edges:
+        plus = sum(1 << j for j, v in enumerate(e.vertices) if mask >> v & 1)
+        if plus:
+            w *= e.activity.table(e.size)[plus]
+    return w
+
+
+def set_is_connected(g: Hypergraph, mask: int) -> bool:
+    """Whether the edge traces e ∩ S join the nonempty label set S at
+    bitmask mask (union-find over consecutive vertices of each trace)."""
+    labels = [v for v in range(g.n) if mask >> v & 1]
+    parent = {v: v for v in labels}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e in g.edges:
+        trace = [v for v in e.vertices if mask >> v & 1]
+        for a, b in zip(trace, trace[1:]):
+            parent[find(a)] = find(b)
+    return len({find(v) for v in labels}) == 1
+
+
 def brute_connected_sets(g: Hypergraph, t: int) -> dict[int, set[tuple[int, ...]]]:
     """All connected label sets of size <= t by exhausting every subset."""
     out: dict[int, set[tuple[int, ...]]] = {s: set() for s in range(1, t + 1)}
     for size in range(1, min(t, g.n) + 1):
         for sub in itertools.combinations(range(g.n), size):
-            if is_connected(induced_insect(g, sub)):
+            if set_is_connected(g, sum(1 << v for v in sub)):
                 out[size].add(sub)
     return out
 

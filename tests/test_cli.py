@@ -241,3 +241,16 @@ def test_cross_process_determinism(write_doc):
         rep.pop("timings")
         outs.append(json.dumps(rep, sort_keys=True))
     assert outs[0] == outs[1]
+
+
+def test_import_loads_no_test_dependency():
+    import subprocess
+    import sys
+
+    code = ("import sys, hyperising.cli; "
+            "print(sorted({'scipy', 'hypothesis', 'pytest'} & "
+            "{name.split('.')[0] for name in sys.modules}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -12,9 +12,6 @@ from hyperising import (
     enumerate_connected,
     exact_coefficients,
     extend_power_sums,
-    induced_insect,
-    insect_weight,
-    insect_weight_of,
     polynomial_roots,
     power_sums,
     power_sums_to_elementary,
@@ -22,23 +19,41 @@ from hyperising import (
 from hyperising.instances import random_connected_hypergraph, random_regular_graph
 
 from conftest import (brute_connected_sets, edgeless, k2, max_coeff_rel_err,
-                      single_edge, triangle)
+                      set_weight, single_edge, triangle)
 
 
 def test_insect_weight_examples():
     g = k2(0.5)
-    assert insect_weight(induced_insect(g, {0})) == -0.5
-    assert insect_weight(induced_insect(g, {0, 1})) == 1
-    assert insect_weight(induced_insect(edgeless(3), {1})) == -1
-    assert insect_weight_of(g, {1}) == -0.5
+    assert set_weight(g, 0b01) == -0.5
+    assert set_weight(g, 0b10) == -0.5
+    assert set_weight(g, 0b11) == 1
+    assert set_weight(edgeless(3), 0b010) == -1
 
 
 def test_insect_weight_uses_boundary_minus():
     # one 3-edge: labels {0}, boundary {1,2} at "-": pattern is a cut
     g = single_edge(3, 0.2)
-    assert insect_weight(induced_insect(g, {0})) == pytest.approx(-0.2)
-    assert insect_weight(induced_insect(g, {0, 1})) == pytest.approx(0.2)
-    assert insect_weight(induced_insect(g, {0, 1, 2})) == pytest.approx(-1.0)
+    assert set_weight(g, 0b001) == pytest.approx(-0.2)
+    assert set_weight(g, 0b011) == pytest.approx(0.2)
+    assert set_weight(g, 0b111) == pytest.approx(-1.0)
+
+
+def test_set_weights_sum_to_oracle_coefficients():
+    # Z(lam) sums lam^|S| prod_e phi_e over every S, and an edge missing S
+    # contributes its all-minus value 1, so c_i = (-1)^i sum_{|S|=i} w(S)
+    rng = random.Random(17)
+    kinds = set()
+    for n in (3, 5, 7, 9):
+        g = random_connected_hypergraph(rng, n, 4, 4, activity="mixed")
+        kinds.update(type(e.activity).__name__ for e in g.edges)
+        sums = [0j] * (n + 1)
+        for mask in range(1 << n):
+            sums[mask.bit_count()] += set_weight(g, mask)
+        want = exact_coefficients(g)
+        for i in range(n + 1):
+            got = (-1) ** i * sums[i]
+            assert abs(got - want[i]) <= 1e-12 * max(1.0, abs(want[i]))
+    assert kinds == {"IsingActivity", "TableActivity"}
 
 
 def test_k2_coefficient_tables():
@@ -49,7 +64,6 @@ def test_k2_coefficient_tables():
     assert ct.tables[1][0b01] == pytest.approx(beta * beta)
     assert ct.tables[1][0b10] == pytest.approx(beta * beta)
     assert ct.tables[1][0b11] == pytest.approx(2 * beta * beta - 2)
-    assert ct.coefficient(2, (0, 1)) == pytest.approx(2 * beta * beta - 2)
 
 
 def test_edgeless_single_vertex_order_two():
@@ -63,13 +77,12 @@ def test_single_three_edge_tables_hand_derived(beta):
     # +b per pair, -1 for the full set)
     ct = compute_coefficient_tables(single_edge(3, beta), 3)
     b = beta
-    assert ct.coefficient(1, (0,)) == pytest.approx(-b)
-    assert ct.coefficient(2, (0,)) == pytest.approx(b * b)
-    assert ct.coefficient(2, (0, 1)) == pytest.approx(2 * b * b - 2 * b)
-    assert ct.coefficient(3, (0,)) == pytest.approx(-b ** 3)
-    assert ct.coefficient(3, (1, 2)) == pytest.approx(-6 * b ** 3 + 6 * b * b)
-    assert ct.coefficient(3, (0, 1, 2)) == pytest.approx(
-        -6 * b ** 3 + 9 * b * b - 3)
+    assert ct.tables[0][0b001] == pytest.approx(-b)
+    assert ct.tables[1][0b001] == pytest.approx(b * b)
+    assert ct.tables[1][0b011] == pytest.approx(2 * b * b - 2 * b)
+    assert ct.tables[2][0b001] == pytest.approx(-b ** 3)
+    assert ct.tables[2][0b110] == pytest.approx(-6 * b ** 3 + 6 * b * b)
+    assert ct.tables[2][0b111] == pytest.approx(-6 * b ** 3 + 9 * b * b - 3)
     p = power_sums(ct)
     assert p[1] == pytest.approx(9 * b * b - 6 * b)
     assert p[2] == pytest.approx(-27 * b ** 3 + 27 * b * b - 3)
@@ -187,13 +200,14 @@ def test_pair_scan_within_rail():
 
 def test_tables_and_pair_scan_match_literal_recurrence():
     # the recurrence of the coefficients module docstring, summed pair by
-    # pair over every subset with the insect-layer weights; pair_scan_max
-    # is the largest number of pairs any connected L has at order t
+    # pair over every subset with weights read off the host; pair_scan_max
+    # is the largest number of pairs any connected L has at order t. The
+    # tables build each w from the edges meeting the set L alone, so this
+    # also checks that a subset of L sees the same weight through them
     rng = random.Random(23)
     for n in range(2, 8):
         g = random_connected_hypergraph(rng, n, 4, 4, activity="mixed")
-        w = {mask: insect_weight_of(g, [v for v in range(n) if mask >> v & 1])
-             for mask in range(1, 1 << n)}
+        w = {mask: set_weight(g, mask) for mask in range(1, 1 << n)}
         connected = sorted(sum(1 << v for v in s)
                            for sets in brute_connected_sets(g, n).values()
                            for s in sets)
@@ -273,18 +287,22 @@ def test_extension_requires_full_prefix():
 
 
 def test_weight_matches_definition_on_random_sets():
+    # the product over every host edge, as the oracle takes it: an edge
+    # missing the set reads its all-minus entry, which is 1
     rng = random.Random(5)
     g = random_connected_hypergraph(rng, 9, 4, 4, activity="mixed")
     for _ in range(30):
         size = rng.randint(1, 9)
-        labels = tuple(sorted(rng.sample(range(9), size)))
-        ins = induced_insect(g, labels)
-        plus = frozenset(labels)
+        labels = rng.sample(range(9), size)
         want = (-1) ** len(labels)
         for e in g.edges:
-            if not plus.isdisjoint(e.vertices):
-                want *= e.value_on(plus)
-        assert cmath.isclose(insect_weight(ins), want)
+            pattern = sum(1 << j for j, v in enumerate(e.vertices)
+                          if v in labels)
+            want *= e.activity.table(e.size)[pattern]
+        assert cmath.isclose(set_weight(g, sum(1 << v for v in labels)), want)
+    singles = compute_coefficient_tables(g, 1).tables[0]
+    for v in range(9):
+        assert cmath.isclose(singles[1 << v], set_weight(g, 1 << v))
 
 
 def test_rejects_bad_order():

@@ -1,5 +1,8 @@
+import cmath
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from hyperising import (
@@ -8,16 +11,15 @@ from hyperising import (
     IsingActivity,
     SchemaError,
     TableActivity,
-    compatible,
     disjoint_union,
+    enumerate_connected,
     hypergraph_to_doc,
-    induced_insect,
-    is_connected,
-    make_insect,
     parse_hypergraph,
 )
+from hyperising.coefficients import _edge_arrays, _edge_products
+from hyperising.instances import random_connected_hypergraph
 
-from conftest import ising_edge, k2, path3, triangle
+from conftest import ising_edge, k2, path3, set_weight, triangle
 
 
 def test_parse_k2():
@@ -63,8 +65,8 @@ def test_parse_accepts_unicode_minus_and_reorders_tables():
     e = g.edges[0]
     assert e.vertices == (0, 1)
     # "+-" in listed order means vertex 1 is "+": after sorting that's bit 1
-    assert e.value_on(frozenset({1})) == 0.25
-    assert e.value_on(frozenset({0})) == 0.75
+    assert e.activity.table(2)[0b10] == 0.25
+    assert e.activity.table(2)[0b01] == 0.75
 
 
 def test_roundtrip_to_doc():
@@ -75,31 +77,25 @@ def test_roundtrip_to_doc():
     assert parse_hypergraph(hypergraph_to_doc(g)) == g
 
 
+def connected_sets(g: Hypergraph) -> set[tuple[int, ...]]:
+    fam = enumerate_connected(g, g.n)
+    return {s for size in range(1, g.n + 1) for s in fam.sets_of_size(size)}
+
+
 def test_induced_insect_path_examples():
-    g = path3()
-    ins = induced_insect(g, {0, 1})
-    assert ins.labels == (0, 1)
-    assert tuple(e.vertices for e in ins.edges) == ((0, 1), (1, 2))
-    assert ins.boundary == {2}
-
-    whole = induced_insect(g, {0, 1, 2})
-    assert whole.boundary == frozenset()
-    assert len(whole.edges) == 2
-
-    ends = induced_insect(g, {0, 2})
-    assert tuple(e.vertices for e in ends.edges) == ((0, 1), (1, 2))
-    assert ends.boundary == {1}
-
-
-def test_induced_insect_rejects_bad_ids():
-    with pytest.raises(SchemaError):
-        induced_insect(path3(), {0, 7})
-    ins = induced_insect(path3(), {0, 1})
-    with pytest.raises(SchemaError):
-        induced_insect(ins, {2})  # 2 is boundary, not a label
+    # every edge meeting the label set counts, with the vertices outside
+    # it at "-": {0,1} cuts edge 12, the ends {0,2} cut both edges
+    beta = 0.5
+    g = path3(beta)
+    assert set_weight(g, 0b011) == beta
+    assert set_weight(g, 0b101) == beta * beta
+    assert set_weight(g, 0b111) == -1
 
 
 def test_induced_nesting_by_enumeration():
+    # the coefficient tables read w(T) for every T inside a connected set L
+    # off the lattice of L, built from the edges meeting L alone; nesting
+    # is what makes that right: T sees the weight it has in the whole host
     hosts = [
         path3(),
         triangle(),
@@ -108,84 +104,43 @@ def test_induced_nesting_by_enumeration():
         Hypergraph(8, (ising_edge((0, 1, 2), 0.3), ising_edge((2, 3), 0.4),
                        ising_edge((3, 4, 5, 6), 0.1), ising_edge((6, 7), -0.2),
                        ising_edge((0, 7), 0.9))),
+        random_connected_hypergraph(random.Random(4), 7, 3, 4,
+                                    activity="mixed"),
     ]
+    assert any(isinstance(e.activity, TableActivity) for e in hosts[-1].edges)
     for g in hosts:
-        for size in range(g.n + 1):
-            for s in itertools.combinations(range(g.n), size):
-                ind_s = induced_insect(g, s)
-                for tsize in range(len(s) + 1):
-                    for t in itertools.combinations(s, tsize):
-                        assert induced_insect(ind_s, t) == induced_insect(g, t)
+        arrays = _edge_arrays(g)
+        fam = enumerate_connected(g, g.n)
+        for k in range(1, g.n + 1):
+            labs = fam.sets_of_size(k)
+            if not labs:
+                break
+            lattice = _edge_products(np.asarray(labs, dtype=np.int64), *arrays)
+            for lab, row in zip(labs, lattice):
+                for x in range(1 << k):
+                    t = sum(1 << v for b, v in enumerate(lab) if x >> b & 1)
+                    assert cmath.isclose((-1) ** x.bit_count() * row[x],
+                                         set_weight(g, t), rel_tol=1e-12)
 
 
 def test_is_connected_examples():
-    assert is_connected(induced_insect(path3(), {1}))
-    assert not is_connected(induced_insect(path3(), {0, 2}))
-    assert is_connected(induced_insect(triangle(), {0, 2}))
-    with pytest.raises(SchemaError):
-        is_connected(make_insect((), ()))
+    assert (1,) in connected_sets(path3())
+    assert (0, 2) not in connected_sets(path3())
+    assert (0, 2) in connected_sets(triangle())
 
 
 def test_three_edge_pairs_connected():
     g = Hypergraph(3, (ising_edge((0, 1, 2), 0.5),))
-    for pair in itertools.combinations(range(3), 2):
-        assert is_connected(induced_insect(g, pair))
-
-
-def test_compatible_idempotent_and_disjoint():
-    h = induced_insect(path3(), {0, 1})
-    assert compatible(h, h) == h
-
-    a = make_insect((0,), ())
-    b = make_insect((4,), ())
-    u = compatible(a, b)
-    assert u is not None and u.labels == (0, 4) and u.edges == ()
-
-
-def test_compatible_absent_case():
-    e = ising_edge((0, 1), 0.5)
-    h1 = make_insect((0,), (e,))
-    h2 = make_insect((1,), ())  # misses the edge it would have to carry
-    assert compatible(h1, h2) is None
-
-
-def test_compatible_matches_host_induction():
-    hosts = [
-        triangle(),
-        Hypergraph(5, (ising_edge((0, 1), 0.5), ising_edge((0, 1), 0.5),
-                       ising_edge((1, 2, 3), 0.2), ising_edge((3, 4), 0.7))),
-        Hypergraph(8, (ising_edge((0, 1, 2), 0.3), ising_edge((2, 3), 0.4),
-                       ising_edge((3, 4, 5, 6), 0.1), ising_edge((6, 7), -0.2),
-                       ising_edge((0, 7), 0.9))),
-    ]
-    for g in hosts:
-        subsets = [
-            s for size in range(g.n + 1)
-            for s in itertools.combinations(range(g.n), size)
-        ]
-        for s1 in subsets:
-            h1 = induced_insect(g, s1)
-            for s2 in subsets:
-                h2 = induced_insect(g, s2)
-                got = compatible(h1, h2)
-                assert got == induced_insect(g, set(s1) | set(s2))
+    assert connected_sets(g) >= set(itertools.combinations(range(3), 2))
 
 
 def test_disjoint_split_is_disconnected():
     # labels {0,1} with edge 01 next to labels {3} with edge 34: the pieces
     # share no labels and neither label set meets the other's boundary
-    e1 = ising_edge((0, 1), 0.5)
-    e2 = ising_edge((3, 4), 0.5)
-    h = make_insect((0, 1, 3), (e1, e2))
-    assert not is_connected(h)
-
-
-def test_canonical_equality_is_order_independent():
-    e1 = ising_edge((1, 2), 0.5)
-    e2 = ising_edge((0, 1), 0.5)
-    a = make_insect((2, 0, 1), (e1, e2))
-    b = make_insect((0, 1, 2), (e2, e1))
-    assert a == b and hash(a) == hash(b)
+    g = Hypergraph(5, (ising_edge((0, 1), 0.5), ising_edge((3, 4), 0.5)))
+    sets = connected_sets(g)
+    assert (0, 1) in sets and (3,) in sets
+    assert (0, 1, 3) not in sets
 
 
 def test_symmetry_flags():

@@ -5,8 +5,6 @@ import pytest
 from hyperising import (
     IsingActivity,
     SchemaError,
-    induced_insect,
-    is_connected,
     ising_ly_range,
     suzuki_fisher_check,
 )
@@ -16,6 +14,8 @@ from hyperising.instances import (
     random_regular_graph,
     random_symmetric_table,
 )
+
+from conftest import set_is_connected
 
 
 def test_generator_respects_caps_and_connectivity():
@@ -29,7 +29,7 @@ def test_generator_respects_caps_and_connectivity():
         assert g.n == n
         assert g.max_degree <= dcap
         assert g.max_edge_size <= kcap
-        assert is_connected(induced_insect(g, range(n)))
+        assert set_is_connected(g, (1 << n) - 1)
 
 
 def test_generator_in_range_activities():

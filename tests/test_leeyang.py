@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from hyperising import (
+    HyperIsingError,
     Hyperedge,
     Hypergraph,
     TableActivity,
     check_activity_ranges,
     disk_product_real_extremes,
     ising_ly_range,
-    max_cosine_product,
     off_circle_witness,
     suzuki_fisher_check,
     verify_zeros_on_circle,
@@ -23,6 +23,50 @@ from hyperising.oracle import polyval
 from conftest import ising_edge, k2, single_edge
 
 
+def max_cosine_product(k: int, windings: int, verify: bool = False,
+                       restarts: int = 100, seed: int = 0,
+                       agree_tol: float = 1e-6) -> float:
+    """Maximum of prod_{i=1..k} cos(theta_i) over |theta_i| <= pi/2 with
+    sum theta_i = windings*pi; equals cos^k(windings*pi/k) at the
+    symmetric point. With verify=True a constrained numerical maximizer
+    (symmetric start plus random restarts) must agree within agree_tol.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if 2 * abs(windings) > k:
+        raise ValueError("infeasible: need 2|windings| <= k")
+    closed = math.cos(windings * math.pi / k) ** k
+    if verify:
+        from scipy.optimize import minimize
+
+        half = math.pi / 2
+
+        def objective(theta):
+            return -np.prod(np.cos(theta))
+
+        target = windings * math.pi
+        constraints = [{"type": "eq", "fun": lambda th: np.sum(th) - target}]
+        bounds = [(-half, half)] * k
+        starts = [np.full(k, target / k)]
+        rng = np.random.default_rng(seed)
+        for _ in range(restarts):
+            x = rng.uniform(-half, half, size=k)
+            x += (target - x.sum()) / k
+            starts.append(np.clip(x, -half, half))
+        best = -math.inf
+        for x0 in starts:
+            res = minimize(objective, x0, bounds=bounds,
+                           constraints=constraints, method="SLSQP",
+                           options={"maxiter": 200, "ftol": 1e-12})
+            if res.success and abs(np.sum(res.x) - target) < 1e-8:
+                best = max(best, -res.fun)
+        if abs(best - closed) > agree_tol:
+            raise HyperIsingError(
+                f"maximizer found {best:.9f}, closed form {closed:.9f}"
+            )
+    return closed
+
+
 def test_range_constants():
     r2 = ising_ly_range(2)
     assert (r2.lo, r2.hi) == (-1.0, 1.0)
@@ -32,7 +76,9 @@ def test_range_constants():
     r4 = ising_ly_range(4)
     assert r4.lo == pytest.approx(-1 / 7, abs=1e-12)
     assert r4.hi == pytest.approx(0.5, abs=1e-12)
-    assert all(ising_ly_range(k).closed for k in range(2, 8))
+    for k in range(2, 8):
+        r = ising_ly_range(k)
+        assert r.contains(r.lo) and r.contains(r.hi)
     with pytest.raises(ValueError):
         ising_ly_range(1)
 
@@ -214,6 +260,13 @@ def test_cosine_product_maximizer_agrees():
     for k, m in [(3, 1), (4, 1), (5, 2), (6, 1)]:
         assert max_cosine_product(k, m, verify=True, restarts=20) == \
             pytest.approx(math.cos(m * math.pi / k) ** k)
+    # the lower range endpoint rests on the k-1 angle maximum at one winding
+    for k in range(4, 8):
+        neg, _ = disk_product_real_extremes(k)
+        assert neg == 2 ** (k - 1) * math.cos(math.pi / (k - 1)) ** (k - 1)
+        assert neg == pytest.approx(
+            2 ** (k - 1) * max_cosine_product(k - 1, 1, verify=True,
+                                              restarts=20))
 
 
 def test_instance_zeros_match_range_prediction_sweep():

@@ -8,7 +8,6 @@ from hyperising import (
     MemoryCapError,
     count_bound,
     enumerate_connected,
-    subtree_count_bound,
 )
 from hyperising.instances import random_connected_hypergraph
 
@@ -22,6 +21,14 @@ from conftest import (
     subtree_count,
     triangle,
 )
+
+
+def subtree_count_bound(max_degree: int, t: int) -> float:
+    """Upper bound (e*Delta)^(t-1) / 2 on the number of t-vertex subtrees
+    of a multigraph of maximum degree Delta that contain a fixed vertex."""
+    if max_degree < 1 or t < 1:
+        raise ValueError("arguments must be >= 1")
+    return (math.e * max_degree) ** (t - 1) / 2.0
 
 
 def test_path_size_two_family():
