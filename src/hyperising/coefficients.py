@@ -15,12 +15,11 @@ edge weight when S is "+" and every other vertex is "-". The ordered
 pairs are the 3-colorings {S1 only, S2 only, both} of L pruned to
 connected S2, so at most 4^t of them are counted per label set and order.
 
-The pair sum is compressed before the per-order sweep: for a fixed
-(L, S2) all choices of S1 with the same size i share the factor
-a_{t-i}(S2), so their signed weights collapse into one row (L, S2, i).
-Rows are built one set size k at a time, in local coordinates where bit
-b of a mask stands for the b-th vertex of L, so the host size never
-enters the mask width:
+For a fixed (L, S2) all choices of S1 with the same size i share the
+factor a_{t-i}(S2), so their signed weights collapse into one row
+(L, S2, i). Sets are handled one size k at a time, in chunks, in local
+coordinates where bit b of a mask stands for the b-th vertex of L, so
+the host size never enters the mask width:
 
 * the edge-product lattice E[x] over the 2^k subsets x of L, from the
   spin tables of the edges that meet L (no other edge involves x), so
@@ -34,9 +33,11 @@ enters the mask width:
 * the family index of every subset of L, read off the index tables of
   the sets L \\ {v} one size down; it marks which S2 are connected.
 
-A row is needed at order t once |S1| + |S2| = |L| + r <= t, so the order
-sweep gathers row prefixes sorted by |L| + r. Label sets are keyed by
-integer bitmasks in the finished tables.
+A row is needed at order t once |S1| + |S2| = |L| + r <= t. Every S2
+other than L is a smaller set, whose coefficients an earlier batch has
+finished, and L itself is read only at lower orders, so each chunk runs
+all of its orders k..m as soon as its rows exist and then drops them.
+Label sets are keyed by integer bitmasks in the finished tables.
 
 Elementary symmetric functions of the reciprocal roots follow from the
 power sums by Newton's identities; with the all-minus normalization the
@@ -55,7 +56,7 @@ from .hypergraph import Hypergraph
 from .subgraphs import DEFAULT_SET_CAP, ConnectedFamily, enumerate_connected
 
 # local subsets per chunk of same-size sets: bounds the lattices, ranked
-# sums and gathers held at once
+# sums, pair rows and gathers held at once
 _LATTICE_CELLS = 1 << 17
 
 
@@ -151,10 +152,10 @@ def _ranked_superset_sums(e: np.ndarray, r_max: int) -> np.ndarray:
     return g
 
 
-def _size_rows(idx: np.ndarray, e: np.ndarray, k: int, m: int,
-               offset: int) -> list[tuple]:
-    """Rows (L index, S2 index, i, coeff, multiplicity) of the sets of
-    size k, one group per r = |Y|; a row is needed from order k + r on."""
+def _size_rows(idx: np.ndarray, e: np.ndarray, k: int, m: int) -> tuple:
+    """Rows (L, S2 index, i, coeff, multiplicity, r) of a chunk of sets of
+    size k, with L the set's row in the chunk, in ascending r = |Y|; a
+    row is needed from order k + r on."""
     full = (1 << k) - 1
     r_max = min(m - k, k)
     g = _ranked_superset_sums(e, r_max)
@@ -165,13 +166,10 @@ def _size_rows(idx: np.ndarray, e: np.ndarray, k: int, m: int,
     wanted[0, s2 == full] = False
     r, pick = np.nonzero(wanted)
     jj, s2, s2_size = jj[pick], s2[pick], s2_size[pick]
-    i = r + k - s2_size
-    coef = -g[r, jj, full ^ s2]
     binom = np.asarray([[math.comb(a, b) for b in range(r_max + 1)]
                         for a in range(k + 1)], dtype=np.int64)
-    rows = (jj + offset, idx[jj, s2], i, coef, binom[s2_size, r])
-    cuts = np.searchsorted(r, np.arange(r_max + 2)).tolist()
-    return [tuple(col[a:b] for col in rows) for a, b in zip(cuts, cuts[1:])]
+    return (jj, idx[jj, s2], r + k - s2_size, -g[r, jj, full ^ s2],
+            binom[s2_size, r], r)
 
 
 def compute_coefficient_tables(
@@ -194,15 +192,16 @@ def compute_coefficient_tables(
         raise ValueError(f"family enumerated to {fam.t_max}, need {depth}")
 
     inc, ev, tab = _edge_arrays(g)
+    batches = [fam.sets_of_size(k) for k in range(1, depth + 1)]
+    ends = np.cumsum([len(labs) for labs in batches]).tolist()
+    values = np.zeros((m + 1, ends[-1]), dtype=np.complex128)
+    scan_max = [0] * (m + 1)
     masks: list[int] = []
-    weight_parts: list[np.ndarray] = []
-    rows_by_order: list[list[tuple]] = [[] for _ in range(m + 1)]
     # size 0 holds the empty set, whose one subset is not a set; every
     # index table ends in an all -1 row for parents that are not sets
     below = {0: 0}
     idx = np.full((2, 1), -1, dtype=np.int64)
-    for k in range(1, depth + 1):
-        labs = fam.sets_of_size(k)
+    for k, labs in enumerate(batches, start=1):
         if not labs:
             break
         offset = len(masks)
@@ -217,53 +216,39 @@ def compute_coefficient_tables(
         idx = np.full((len(labs) + 1, 1 << k), -1, dtype=np.int64)
         step = max(1, _LATTICE_CELLS >> k)
         for lo in range(0, len(labs), step):
-            part = slice(lo, min(lo + step, len(labs)))
-            e = _edge_products(sets[part], inc, ev, tab)
-            weight_parts.append(e[:, -1] * (-1) ** k)
-            _subset_index(idx[part], offset + lo, parents[part], prev)
-            for r, rows in enumerate(_size_rows(idx[part], e, k, m,
-                                                offset + lo)):
-                rows_by_order[k + r].append(rows)
-    nsets = len(masks)
-    set_weights = np.concatenate(weight_parts)
-    sizes = [mask.bit_count() for mask in masks]
-    set_sizes = np.asarray(sizes, dtype=np.int64)
-    boundaries = np.cumsum([sum(len(rows[0]) for rows in group)
-                            for group in rows_by_order])
-    row_l, row_c, row_i, row_coef, row_mult = (
-        np.concatenate(column) for column in
-        zip(*(rows for group in rows_by_order for rows in group)))
-    del rows_by_order, idx, prev  # the sweep needs only the flat rows
-    values = np.zeros((m + 1, nsets), dtype=np.complex128)
-    first = set_sizes == 1
-    values[1, first] = set_weights[first]
-    scan_max = [0]
-    for t in range(2, m + 1):
-        stop = boundaries[t]
-        gathered = row_coef[:stop] * values[t - row_i[:stop], row_c[:stop]]
-        acc = np.bincount(row_l[:stop], weights=gathered.real,
-                          minlength=nsets).astype(np.complex128)
-        acc += 1j * np.bincount(row_l[:stop], weights=gathered.imag,
-                                minlength=nsets)
-        at_order = set_sizes == t
-        if at_order.any():
-            tail = t * set_weights[at_order]
-            acc[at_order] += tail if t % 2 == 1 else -tail
-        values[t] = acc
-        if stop:
-            per_set = np.bincount(row_l[:stop], weights=row_mult[:stop],
-                                  minlength=nsets)
-            scan_max.append(int(per_set.max()))
-        else:
-            scan_max.append(0)
+            hi = min(lo + step, len(labs))
+            e = _edge_products(sets[lo:hi], inc, ev, tab)
+            _subset_index(idx[lo:hi], offset + lo, parents[lo:hi], prev)
+            row_l, row_c, row_i, row_coef, row_mult, row_r = _size_rows(
+                idx[lo:hi], e, k, m)
+            # every S2 but L itself is a smaller set, finished in an
+            # earlier batch; L is read only at lower orders of this loop
+            stops = np.searchsorted(row_r, np.arange(m - k + 1), "right")
+            for t, stop in enumerate(stops.tolist(), start=k):
+                # the gathered temporary goes first: numpy reuses a large
+                # temporary in place as the left operand, and the rounding
+                # of a complex product depends on the operand order
+                gathered = (values[t - row_i[:stop], row_c[:stop]]
+                            * row_coef[:stop])
+                acc = np.bincount(row_l[:stop], weights=gathered.real,
+                                  minlength=hi - lo).astype(np.complex128)
+                acc += 1j * np.bincount(row_l[:stop], weights=gathered.imag,
+                                        minlength=hi - lo)
+                if t == k:
+                    # (-1)^(t-1) t w(L) with w(L) = (-1)^k E[L]
+                    acc -= k * e[:, -1]
+                values[t, offset + lo:offset + hi] = acc
+                if stop:
+                    per_set = np.bincount(row_l[:stop],
+                                          weights=row_mult[:stop])
+                    scan_max[t] = max(scan_max[t], int(per_set.max()))
 
-    tables: list[dict[int, complex]] = []
+    # sets come in ascending size, so those of size <= t are a prefix
+    tables = []
     for t in range(1, m + 1):
-        tables.append({
-            masks[j]: complex(values[t, j])
-            for j in range(nsets) if sizes[j] <= t
-        })
-    return CoefficientTable(m, tuple(tables), tuple(scan_max))
+        end = ends[min(t, depth) - 1]
+        tables.append(dict(zip(masks[:end], values[t, :end].tolist())))
+    return CoefficientTable(m, tuple(tables), tuple(scan_max[1:]))
 
 
 def _kahan(values) -> complex:

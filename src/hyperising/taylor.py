@@ -34,7 +34,7 @@ from .coefficients import (
 from .errors import OrderCapError, UnitCircleError
 from .hypergraph import Hypergraph
 from .leeyang import check_activity_ranges
-from .subgraphs import DEFAULT_SET_CAP, ConnectedFamily, enumerate_connected
+from .subgraphs import DEFAULT_SET_CAP, enumerate_connected
 
 DEFAULT_ORDER_CAP = 24
 UNIT_CIRCLE_TOL = 1e-12
@@ -153,10 +153,10 @@ class PartitionEstimator:
         self.host = g
         self.order_cap = order_cap
         self.set_cap = set_cap
-        self._fam: ConnectedFamily | None = None
-        self._ctable: CoefficientTable | None = None
-        self._p: list[complex] = []
-        self._e: list[complex] | None = None
+        # (tables, p_1..p_depth, e_1..e_depth), replaced whole so that a
+        # reader never pairs one build's tables with another's sums
+        self._state: tuple[CoefficientTable, list[complex],
+                           list[complex]] | None = None
         self._conj: PartitionEstimator | None = None
         self._guaranteed: bool | None = None
 
@@ -170,45 +170,51 @@ class PartitionEstimator:
                                                 self.set_cap)
         return self._conj
 
-    def _ensure_depth(self, depth: int, m: int) -> None:
+    def _tables(self, depth: int, m: int):
+        """A snapshot (tables, power sums, elementary functions) at least
+        `depth` deep, built and published in one assignment if the current
+        one is shallower."""
         if depth > self.order_cap:
             raise OrderCapError(
                 f"truncation order {m} needs tables to order {depth}, "
                 f"above the cap {self.order_cap}"
             )
-        if self._ctable is not None and self._ctable.m >= depth:
-            return
-        fam = enumerate_connected(self.host, depth, set_cap=self.set_cap)
-        ctable = compute_coefficient_tables(self.host, depth, fam=fam,
-                                            set_cap=self.set_cap)
-        self._fam = fam
-        self._ctable = ctable
-        self._p = power_sums(ctable)
-        self._e = None
+        state = self._state
+        if state is None or state[0].m < depth:
+            fam = enumerate_connected(self.host, depth, set_cap=self.set_cap)
+            ctable = compute_coefficient_tables(self.host, depth, fam=fam,
+                                                set_cap=self.set_cap)
+            p = power_sums(ctable)
+            state = (ctable, p, power_sums_to_elementary(p))
+            self._state = state
+        return state
 
     def power_sums_up_to(self, m: int) -> list[complex]:
         """Power sums p_1..p_m; the table recurrence is run only up to the
-        host size, beyond which Newton's identity continues the sequence."""
+        host size, beyond which Newton's identity continues the sequence.
+        Orders above the cap are refused before any work is done."""
+        if m > self.order_cap:
+            raise OrderCapError(
+                f"order {m} is above the cap {self.order_cap}")
         n = self.host.n
         if n == 0:
             return [0.0 + 0.0j] * m
-        self._ensure_depth(min(m, n), m)
-        if m <= len(self._p):
-            return self._p[:m]
-        return extend_power_sums(self._p, self.elementary(), m)
+        ctable, p, e = self._tables(min(m, n), m)
+        if m <= ctable.m:
+            return p[:m]
+        # tables are never built past n, so this snapshot covers the host
+        return extend_power_sums(p, e, m)
 
     def _coefficients(self, m: int) -> list[complex]:
         """Partition-polynomial coefficients c_0..c_n, from tables to the
         host size; `m` is the truncation order asking for them."""
-        if self.host.n:
-            self._ensure_depth(self.host.n, m)
-        return elementary_to_coefficients(self.elementary())
+        n = self.host.n
+        return elementary_to_coefficients(self._tables(n, m)[2] if n else [])
 
     def elementary(self) -> list[complex]:
         """e_1..e_depth for the deepest order computed so far."""
-        if self._e is None:
-            self._e = power_sums_to_elementary(self._p)
-        return self._e
+        state = self._state
+        return [] if state is None else state[2]
 
     def guaranteed(self) -> bool:
         if self._guaranteed is None:

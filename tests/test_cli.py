@@ -193,6 +193,24 @@ def test_mcap_refusal_and_flag_override(capsys, write_doc, monkeypatch):
     assert code == 0 and rep["result"]["m"] >= 1
 
 
+def test_coeffs_order_above_cap_exit_two(capsys, write_doc):
+    path = write_doc(K2_DOC)
+    code, rep, err = run_cli(capsys, ["coeffs", path, "--m", "25"])
+    assert code == 2 and rep is None
+    assert "25" in err
+    code, rep, _ = run_cli(capsys, ["coeffs", path, "--m", "25",
+                                    "--m-cap", "25"])
+    assert code == 0 and len(rep["result"]["power_sums"]) == 25
+
+
+def test_coeffs_huge_order_refused_at_once(capsys, write_doc):
+    path = write_doc(K2_DOC)
+    start = time.perf_counter()
+    code, rep, _ = run_cli(capsys, ["coeffs", path, "--m", "2000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and rep is None
+
+
 def test_sweep_command_threads_deterministic(capsys, write_doc):
     path = write_doc(EDGE3_DOC)
     argv = ["sweep", path, "--beta-from", "-0.5", "--beta-to", "0.9",

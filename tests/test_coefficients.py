@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hyperising import (
     power_sums,
     power_sums_to_elementary,
 )
+from hyperising import coefficients
 from hyperising.instances import random_connected_hypergraph, random_regular_graph
 
 from conftest import (brute_connected_sets, edgeless, k2, max_coeff_rel_err,
@@ -239,6 +241,41 @@ def test_tables_and_pair_scan_match_literal_recurrence():
             for (t, lmask), want in a.items():
                 got = ct.tables[t - 1][lmask]
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_chunking_does_not_change_tables(monkeypatch):
+    # with 64 lattice cells per chunk every size batch of these hosts
+    # spans many chunks, so coefficients of one batch read back rows of
+    # another chunk's sets and pair_scan_max folds over chunks
+    rng = random.Random(41)
+    cases = []
+    for n in range(2, 11):
+        g = random_connected_hypergraph(rng, n, 4, 4, activity="mixed")
+        for m in (n, n + 2):
+            cases.append((g, m, compute_coefficient_tables(g, m)))
+    monkeypatch.setattr(coefficients, "_LATTICE_CELLS", 1 << 6)
+    for g, m, want in cases:
+        got = compute_coefficient_tables(g, m)
+        assert got.pair_scan_max == want.pair_scan_max
+        for table, ref in zip(got.tables, want.tables):
+            assert list(table) == list(ref)
+            for mask, value in ref.items():
+                assert abs(table[mask] - value) <= 1e-13 * abs(value)
+
+
+def test_table_build_memory_stays_bounded():
+    # the pair rows of a chunk are dropped once its orders are done; kept
+    # for every size until one final order sweep, this build peaked at
+    # 227 MiB, against 109 MiB with the rows dropped chunk by chunk
+    g = random_regular_graph(random.Random(256), 256, 3, 0.2)
+    fam = enumerate_connected(g, 7)
+    tracemalloc.start()
+    try:
+        compute_coefficient_tables(g, 7, fam=fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 2 ** 20
 
 
 def test_host_past_62_vertices():

@@ -20,7 +20,7 @@ from hyperising import (
     truncation_bound,
     truncation_order,
 )
-from hyperising import Hyperedge, Hypergraph
+from hyperising import Hyperedge, Hypergraph, taylor
 from hyperising.instances import random_connected_hypergraph
 
 from conftest import LAMBDA_GRID, edgeless, k2, path_graph, rel_err, single_edge
@@ -219,9 +219,34 @@ def test_estimator_reuses_tables_across_arguments():
     g = path_graph(8, 0.3)
     est = PartitionEstimator(g)
     est.approximate(0.5, 0.1)
-    table = est._ctable
+    state = est._state
     est.approximate(0.6, 0.1)
-    assert est._ctable is table  # deeper order not required -> no rebuild
+    assert est._state is state  # deeper order not required -> no rebuild
+
+
+def test_reentrant_call_sees_one_snapshot(monkeypatch):
+    # a call that runs while a deeper table is being built must not pair
+    # the new tables with the old power sums: that would extend the
+    # depth-3 sums by Newton as if they covered the whole host
+    g = random_connected_hypergraph(random.Random(3), 8, 4, 4)
+    want = PartitionEstimator(g).power_sums_up_to(6)
+    est = PartitionEstimator(g)
+    est.power_sums_up_to(3)
+    inner = []
+    real = taylor.power_sums
+
+    def reentering(ctable, *args):
+        if not inner:
+            inner.append(None)
+            inner[0] = est.power_sums_up_to(6)
+        return real(ctable, *args)
+
+    monkeypatch.setattr(taylor, "power_sums", reentering)
+    outer = est.power_sums_up_to(6)
+    for got in (inner[0], outer):
+        assert len(got) == 6
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
 def test_empty_host():
