@@ -238,6 +238,20 @@ def test_sweep_random_regular_with_seed(capsys):
     assert rep1["result"] == rep2["result"]
 
 
+def test_sweep_high_beta_row_on_circle(capsys):
+    # at beta = 0.9 the zeros of this 18-vertex 3-regular host crowd near
+    # lambda = -1; coefficients that are not exactly palindromic put the
+    # computed roots up to 1.2e-6 off the circle
+    argv = ["sweep", "--random-regular", "18,3", "--seed", "534029409",
+            "--beta-from", "0.9", "--beta-to", "0.9", "--steps", "1"]
+    code, rep, _ = run_cli(capsys, argv)
+    assert code == 0
+    (row,) = rep["result"]["rows"]
+    assert row["in_range"] is True
+    assert row["on_circle"] is True
+    assert row["max_circle_deviation"] < 1e-7
+
+
 def test_version_runs():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
