@@ -17,7 +17,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,11 +27,19 @@ from .hypergraph import Hyperedge, Hypergraph, IsingActivity, parse_hypergraph
 from .instances import random_regular_graph
 from .leeyang import (
     check_activity_ranges,
+    circle_certificate,
     ising_ly_range,
     off_circle_witness,
     verify_zeros_on_circle,
 )
-from .oracle import exact_coefficients, exact_multivariate, exact_partition
+from .oracle import (
+    coefficient_zeros,
+    cut_histogram,
+    exact_coefficients,
+    exact_multivariate,
+    exact_partition,
+    uniform_beta_coefficients,
+)
 from .subgraphs import count_bound, enumerate_connected
 from .taylor import PartitionEstimator
 
@@ -94,8 +101,8 @@ def _load_input(path: str) -> tuple[Hypergraph, str]:
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int,
                    default=_env("THREADS", int, 1),
-                   help="worker threads for batch commands (results are"
-                        " independent of this)")
+                   help="echoed in sweep reports; every command runs on"
+                        " one thread")
     p.add_argument("--m-cap", type=int, default=_env("M_CAP", int, 24),
                    help="cap on the coefficient-table order")
     p.add_argument("--memory-cap", type=int,
@@ -389,25 +396,19 @@ def _cmd_sweep(args) -> dict:
         g = random_regular_graph(random.Random(args.seed), n, degree, 0.5)
         digest = None
     t1 = time.perf_counter()
-    betas = list(np.linspace(args.beta_from, args.beta_to, args.steps))
-
-    def one(beta: float) -> dict:
-        host = _with_uniform_beta(g, beta)
-        cert = verify_zeros_on_circle(host, circle_tol=args.tol_circle,
-                                      residual_tol=args.tol_residual,
-                                      cap=args.oracle_cap)
-        return {
+    hist = cut_histogram(g, cap=args.oracle_cap)
+    rows = []
+    for beta in np.linspace(args.beta_from, args.beta_to, args.steps):
+        report = coefficient_zeros(uniform_beta_coefficients(hist, beta),
+                                   residual_tol=args.tol_residual)
+        cert = circle_certificate(_with_uniform_beta(g, beta), report,
+                                  circle_tol=args.tol_circle)
+        rows.append({
             "beta": float(beta),
             "in_range": cert.ranges.all_pass,
             "max_circle_deviation": cert.report.max_circle_deviation,
             "on_circle": cert.on_circle,
-        }
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(one, betas))
-    else:
-        rows = [one(b) for b in betas]
+        })
     t2 = time.perf_counter()
     params = {"beta_from": args.beta_from, "beta_to": args.beta_to,
               "steps": args.steps, "threads": args.threads,

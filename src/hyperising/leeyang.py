@@ -135,16 +135,23 @@ class CircleCertificate:
     certified: bool
 
 
+def circle_certificate(g: Hypergraph, report: ZeroReport,
+                       circle_tol: float = DEFAULT_CIRCLE_TOL) -> CircleCertificate:
+    """Combine the zeros of g's partition polynomial with g's range
+    verdicts."""
+    ranges = check_activity_ranges(g)
+    on_circle = report.max_circle_deviation <= circle_tol
+    return CircleCertificate(report, ranges, circle_tol, on_circle,
+                             ranges.all_pass and on_circle)
+
+
 def verify_zeros_on_circle(g: Hypergraph,
                            circle_tol: float = DEFAULT_CIRCLE_TOL,
                            residual_tol: float = DEFAULT_RESIDUAL_TOL,
                            cap: int = DEFAULT_VERTEX_CAP) -> CircleCertificate:
     """Exact coefficients -> residual-checked roots -> circle deviation."""
     report = zero_report(g, residual_tol=residual_tol, cap=cap)
-    ranges = check_activity_ranges(g)
-    on_circle = report.max_circle_deviation <= circle_tol
-    return CircleCertificate(report, ranges, circle_tol, on_circle,
-                             ranges.all_pass and on_circle)
+    return circle_certificate(g, report, circle_tol)
 
 
 def witness_polynomial(k: int, beta: float) -> np.ndarray:

@@ -1,9 +1,16 @@
 """Brute-force ground truth for small instances.
 
-Exact partition values, exact polynomial coefficients, and residual-checked
-complex roots. Everything here enumerates all 2^n spin configurations, so
-it is only usable below the vertex cap (default 24); it exists to validate
-the polynomial-time pipeline, not to compete with it.
+Exact partition values, exact polynomial coefficients, the cut histogram
+of a host, and residual-checked complex roots. Everything here enumerates
+all 2^n spin configurations, so it is only usable below the vertex cap
+(default 24); it exists to validate the polynomial-time pipeline, not to
+compete with it.
+
+With one Ising activity beta on every edge, a label set's weight is
+beta^(number of edges it cuts), so the coefficients at every beta follow
+from one integer histogram H[i, c] of label sets by size i and cut count
+c: c_i(beta) = sum_c H[i, c] beta^c. `cut_histogram` builds H in one 2^n
+pass; `uniform_beta_coefficients` evaluates it per beta.
 
 Summations are performed blockwise with numpy's pairwise reduction in a
 fixed order, so results do not depend on how work might be partitioned.
@@ -42,6 +49,17 @@ def _blocks(n: int):
         yield np.arange(start, min(start + step, total), dtype=np.int64)
 
 
+def _cut(states: np.ndarray, vertices) -> np.ndarray:
+    """Whether each subset bitmask in `states` cuts the edge on `vertices`:
+    meets it without covering it, so the edge is neither all "+" nor all
+    "-"."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    part = states & mask
+    return (part != 0) & (part != mask)
+
+
 def _edge_weights(g: Hypergraph, states: np.ndarray) -> np.ndarray:
     """prod_e phi_e(sigma^S) for each subset bitmask S in `states`.
 
@@ -51,12 +69,7 @@ def _edge_weights(g: Hypergraph, states: np.ndarray) -> np.ndarray:
     w = np.ones(states.shape, dtype=np.complex128)
     for e in g.edges:
         if isinstance(e.activity, IsingActivity):
-            mask = 0
-            for v in e.vertices:
-                mask |= 1 << v
-            part = states & mask
-            cut = (part != 0) & (part != mask)
-            w[cut] *= e.activity.beta
+            w[_cut(states, e.vertices)] *= e.activity.beta
         else:
             local = np.zeros(states.shape, dtype=np.int64)
             for j, v in enumerate(e.vertices):
@@ -90,6 +103,30 @@ def exact_coefficients(g: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarr
         pc = np.bitwise_count(states)
         np.add.at(c, pc, w)
     return c
+
+
+def cut_histogram(g: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
+    """Integer counts H[i, c] of the label sets of size i that cut exactly
+    c edges, shape (n + 1, |E| + 1). Activities are ignored: every edge is
+    read as Ising. H[i] == H[n - i], since a set and its complement cut the
+    same edges."""
+    _check_cap(g, cap)
+    width = len(g.edges) + 1
+    h = np.zeros((g.n + 1) * width, dtype=np.int64)
+    for states in _blocks(g.n):
+        cuts = np.zeros(states.shape, dtype=np.int64)
+        for e in g.edges:
+            cuts += _cut(states, e.vertices)
+        size = np.bitwise_count(states).astype(np.int64)
+        h += np.bincount(size * width + cuts, minlength=h.size)
+    return h.reshape(g.n + 1, width)
+
+
+def uniform_beta_coefficients(hist: np.ndarray, beta: complex) -> np.ndarray:
+    """Coefficients c_0..c_n of Z(lam) with activity beta on every edge,
+    c_i = sum_c hist[i, c] beta^c by Horner's scheme over the cut counts."""
+    return np.polynomial.polynomial.polyval(
+        complex(beta), hist.T.astype(np.complex128))
 
 
 def exact_multivariate(g: Hypergraph, lams, cap: int = DEFAULT_VERTEX_CAP) -> complex:
@@ -158,11 +195,24 @@ class ZeroReport:
     max_circle_deviation: float
 
 
-def zero_report(g: Hypergraph, residual_tol: float = 1e-8,
-                cap: int = DEFAULT_VERTEX_CAP) -> ZeroReport:
-    """Root locations of the exact partition polynomial of g."""
-    c = exact_coefficients(g, cap=cap)
+def coefficient_zeros(c: np.ndarray, residual_tol: float = 1e-8) -> ZeroReport:
+    """Residual-checked roots of sum c_i lam^i and their largest distance
+    from the unit circle."""
     roots = polynomial_roots(c, tol=residual_tol)
     resid = np.abs(polyval(c, roots)) if roots.size else np.zeros(0)
     dev = float(np.max(np.abs(np.abs(roots) - 1.0))) if roots.size else 0.0
     return ZeroReport(c, roots, resid, dev)
+
+
+def zero_report(g: Hypergraph, residual_tol: float = 1e-8,
+                cap: int = DEFAULT_VERTEX_CAP) -> ZeroReport:
+    """Root locations of the exact partition polynomial of g.
+
+    On an all-Ising host a set and its complement have the same weight, so
+    Z is palindromic; the coefficients are averaged with their reverse
+    first, because rounding that breaks the symmetry moves clustered roots
+    off the circle by far more than it moves the coefficients."""
+    c = exact_coefficients(g, cap=cap)
+    if all(isinstance(e.activity, IsingActivity) for e in g.edges):
+        c = 0.5 * (c + c[::-1])
+    return coefficient_zeros(c, residual_tol=residual_tol)

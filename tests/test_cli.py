@@ -1,10 +1,12 @@
 import json
+import random
 import time
 
 import pytest
 
 from hyperising import exact_partition, parse_hypergraph
 from hyperising.cli import main, parse_lambda
+from hyperising.instances import random_regular_graph
 
 K2_DOC = {"n": 2, "edges": [{"v": [0, 1], "beta": 0.5}]}
 PATH_DOC = {"n": 3, "edges": [{"v": [0, 1], "beta": 0.5},
@@ -250,6 +252,30 @@ def test_sweep_high_beta_row_on_circle(capsys):
     assert row["in_range"] is True
     assert row["on_circle"] is True
     assert row["max_circle_deviation"] < 1e-7
+
+
+def test_sweep_over_oracle_cap_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, rep, err = run_cli(capsys, ["sweep", "--random-regular", "26,3",
+                                      "--beta-from", "0.1", "--beta-to", "0.9"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and rep is None
+    assert "2^26" in err
+
+
+def test_zeros_on_circle_for_clustered_ising_zeros(capsys, write_doc):
+    # the host of test_sweep_high_beta_row_on_circle, read from a file:
+    # `zeros` uses the oracle coefficients, whose rounding is not symmetric
+    g = random_regular_graph(random.Random(534029409), 18, 3, 0.9)
+    path = write_doc({"n": g.n, "edges": [{"v": list(e.vertices), "beta": 0.9}
+                                          for e in g.edges]})
+    code, rep, _ = run_cli(capsys, ["zeros", path])
+    assert code == 0
+    assert rep["result"]["in_range"] is True
+    assert rep["result"]["on_circle"] is True
+    assert rep["result"]["max_circle_deviation"] < 1e-7
+    coeffs = rep["result"]["coefficients"]
+    assert coeffs == coeffs[::-1]
 
 
 def test_version_runs():

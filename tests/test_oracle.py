@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperising import (
     OracleCapError,
@@ -15,8 +16,9 @@ from hyperising import (
     polynomial_roots,
     zero_report,
 )
+from hyperising.cli import _with_uniform_beta
 from hyperising.instances import random_connected_hypergraph
-from hyperising.oracle import polyval
+from hyperising.oracle import cut_histogram, polyval, uniform_beta_coefficients
 
 from conftest import edgeless, k2, path_graph, single_edge, triangle
 
@@ -82,6 +84,22 @@ def test_palindromic_coefficients_for_real_ising():
         c = exact_coefficients(g)
         scale = np.max(np.abs(c))
         assert np.max(np.abs(c - c[::-1])) <= 1e-12 * scale
+
+
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1),
+       activity=st.sampled_from(["in-range", "mixed", "table"]))
+def test_cut_histogram_matches_oracle(n, seed, activity):
+    # the histogram reads every edge as Ising, whatever its activity
+    g = random_connected_hypergraph(random.Random(seed), n, 4, 4,
+                                    activity=activity)
+    hist = cut_histogram(g)
+    assert hist.sum(axis=1).tolist() == [math.comb(n, i) for i in range(n + 1)]
+    assert np.array_equal(hist, hist[::-1])
+    for beta in (-0.5, 0.15, 0.8, 0.9):
+        got = uniform_beta_coefficients(hist, beta)
+        want = exact_coefficients(_with_uniform_beta(g, beta))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_disjoint_union_coefficients_convolve():
