@@ -114,11 +114,10 @@ def cut_histogram(g: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
     width = len(g.edges) + 1
     h = np.zeros((g.n + 1) * width, dtype=np.int64)
     for states in _blocks(g.n):
-        cuts = np.zeros(states.shape, dtype=np.int64)
+        key = np.bitwise_count(states).astype(np.int64) * width
         for e in g.edges:
-            cuts += _cut(states, e.vertices)
-        size = np.bitwise_count(states).astype(np.int64)
-        h += np.bincount(size * width + cuts, minlength=h.size)
+            key += _cut(states, e.vertices)
+        h += np.bincount(key, minlength=h.size)
     return h.reshape(g.n + 1, width)
 
 
