@@ -59,7 +59,6 @@ from .subgraphs import (
 from .taylor import (
     PartitionEstimator,
     TaylorApproximation,
-    approximate_partition,
     log_series_from_coefficients,
     truncated_log_partition,
     truncation_bound,

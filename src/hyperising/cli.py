@@ -315,7 +315,7 @@ def _cmd_enumerate(args) -> dict:
     }
     if args.emit_sets:
         result["sets"] = {
-            str(s): [list(x) for x in fam.sets_of_size(s)]
+            str(s): fam.sets_of_size(s).tolist()
             for s in range(1, fam.t_max + 1)
         }
     params = {"t": args.t, "memory_cap": args.memory_cap}

@@ -37,7 +37,9 @@ A row is needed at order t once |S1| + |S2| = |L| + r <= t. Every S2
 other than L is a smaller set, whose coefficients an earlier batch has
 finished, and L itself is read only at lower orders, so each chunk runs
 all of its orders k..m as soon as its rows exist and then drops them.
-Label sets are keyed by integer bitmasks in the finished tables.
+The finished tables are value arrays aligned with the rows of the
+family's size arrays, smaller sets first, and p_t is their correctly
+rounded sum.
 
 Elementary symmetric functions of the reciprocal roots follow from the
 power sums by Newton's identities; with the all-minus normalization the
@@ -52,45 +54,31 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import MemoryCapError
 from .hypergraph import Hypergraph
-from .subgraphs import DEFAULT_SET_CAP, ConnectedFamily, enumerate_connected
+from .subgraphs import (DEFAULT_SET_CAP, ConnectedFamily, _edge_arrays,
+                        enumerate_connected)
 
 # local subsets per chunk of same-size sets: bounds the lattices, ranked
 # sums, pair rows and gathers held at once
 _LATTICE_CELLS = 1 << 17
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientTable:
-    """Per-order maps from connected label sets to power-sum coefficients.
+    """Per-order power-sum coefficients of the connected label sets.
 
-    tables[t-1] covers order t, keyed by label-set bitmask, with exactly
-    the connected sets of size <= t. pair_scan_max[t-1] is the largest
-    number of (S1, S2) pairs in the recurrence of any one label set at
-    order t (bounded by 4^t).
+    tables[t-1] is a read-only complex array of the order-t coefficients
+    of exactly the connected sets of size <= t, in the order of the
+    family's rows: all sets of size 1, then of size 2, and so on.
+    pair_scan_max[t-1] is the largest number of (S1, S2) pairs in the
+    recurrence of any one label set at order t (bounded by 4^t).
     """
 
     m: int
-    tables: tuple[dict[int, complex], ...]
+    family: ConnectedFamily
+    tables: tuple[np.ndarray, ...]
     pair_scan_max: tuple[int, ...]
-
-
-def _edge_arrays(g: Hypergraph):
-    """Padded edge data: incident edge ids per vertex, vertex ids per edge
-    and spin tables per edge. The extra last edge meets nothing and has
-    an all-ones table, so it pads every slot without changing a product."""
-    dummy = len(g.edges)
-    incident = g.incident_index()
-    inc = np.full((g.n, max(1, g.max_degree)), dummy, dtype=np.int64)
-    for v, ids in enumerate(incident):
-        inc[v, :len(ids)] = ids
-    width = max(1, g.max_edge_size)
-    ev = np.full((dummy + 1, width), -1, dtype=np.int64)
-    tab = np.ones((dummy + 1, 1 << width), dtype=np.complex128)
-    for i, e in enumerate(g.edges):
-        ev[i, :e.size] = e.vertices
-        tab[i, :1 << e.size] = e.activity.table(e.size)
-    return inc, ev, tab
 
 
 def _edge_products(sets: np.ndarray, inc: np.ndarray, ev: np.ndarray,
@@ -180,43 +168,36 @@ def compute_coefficient_tables(
 ) -> CoefficientTable:
     """Run the coefficient recurrence to order m over the host's connected
     label sets. The family saturates at the host size, so orders beyond n
-    reuse the same key set."""
+    cover the same sets. A family of 2^31 sets or more is refused with
+    MemoryCapError before any table is built."""
     if m < 1:
         raise ValueError("order m must be >= 1")
-    depth = min(m, g.n)
-    if g.n == 0:
-        return CoefficientTable(m, tuple({} for _ in range(m)), (0,) * m)
+    depth = max(1, min(m, g.n))
     if fam is None:
         fam = enumerate_connected(g, depth, set_cap=set_cap)
     elif fam.t_max < depth:
         raise ValueError(f"family enumerated to {fam.t_max}, need {depth}")
+    ends = np.cumsum([len(fam.by_size[k]) for k in range(depth)]).tolist()
+    if ends[-1] >= 1 << 31:
+        raise MemoryCapError(f"{ends[-1]} label sets overflow int32 indices")
 
     inc, ev, tab = _edge_arrays(g)
-    batches = [fam.sets_of_size(k) for k in range(1, depth + 1)]
-    ends = np.cumsum([len(labs) for labs in batches]).tolist()
     values = np.zeros((m + 1, ends[-1]), dtype=np.complex128)
     scan_max = [0] * (m + 1)
-    masks: list[int] = []
-    # size 0 holds the empty set, whose one subset is not a set; every
-    # index table ends in an all -1 row for parents that are not sets
-    below = {0: 0}
-    idx = np.full((2, 1), -1, dtype=np.int64)
-    for k, labs in enumerate(batches, start=1):
-        if not labs:
+    # the empty set is no label set: its index table is only the all -1
+    # row that every index table ends in for parents that are not sets
+    idx = np.full((1, 1), -1, dtype=np.int32)
+    for k in range(1, depth + 1):
+        sets = fam.sets_of_size(k)
+        if not len(sets):
             break
-        offset = len(masks)
-        batch = [sum(1 << v for v in lab) for lab in labs]
-        parents = np.asarray(
-            [[below.get(mask ^ (1 << v), -1) for v in lab]
-             for mask, lab in zip(batch, labs)], dtype=np.int64)
-        below = {mask: j for j, mask in enumerate(batch)}
-        masks.extend(batch)
-        sets = np.asarray(labs, dtype=np.int64)
+        parents = fam.parents[k - 1]
+        offset = ends[k - 1] - len(sets)
         prev = idx
-        idx = np.full((len(labs) + 1, 1 << k), -1, dtype=np.int64)
+        idx = np.full((len(sets) + 1, 1 << k), -1, dtype=np.int32)
         step = max(1, _LATTICE_CELLS >> k)
-        for lo in range(0, len(labs), step):
-            hi = min(lo + step, len(labs))
+        for lo in range(0, len(sets), step):
+            hi = min(lo + step, len(sets))
             e = _edge_products(sets[lo:hi], inc, ev, tab)
             _subset_index(idx[lo:hi], offset + lo, parents[lo:hi], prev)
             row_l, row_c, row_i, row_coef, row_mult, row_r = _size_rows(
@@ -243,36 +224,21 @@ def compute_coefficient_tables(
                                           weights=row_mult[:stop])
                     scan_max[t] = max(scan_max[t], int(per_set.max()))
 
+    values.flags.writeable = False
     # sets come in ascending size, so those of size <= t are a prefix
-    tables = []
-    for t in range(1, m + 1):
-        end = ends[min(t, depth) - 1]
-        tables.append(dict(zip(masks[:end], values[t, :end].tolist())))
-    return CoefficientTable(m, tuple(tables), tuple(scan_max[1:]))
-
-
-def _kahan(values) -> complex:
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    tables = tuple(values[t, :ends[min(t, depth) - 1]]
+                   for t in range(1, m + 1))
+    return CoefficientTable(m, fam, tables, tuple(scan_max[1:]))
 
 
 def power_sums(ctable: CoefficientTable, m: int | None = None) -> list[complex]:
-    """p_t = compensated sum of the order-t coefficients over the family
-    of connected label sets (the key set of each table)."""
+    """p_t = sum of the order-t coefficients over the connected label
+    sets, correctly rounded in each part and so independent of set order."""
     m = ctable.m if m is None else m
     if m > ctable.m:
         raise ValueError("tables not computed to the requested order")
-    out = []
-    for t in range(1, m + 1):
-        table = ctable.tables[t - 1]
-        out.append(_kahan(table[mask] for mask in sorted(table)))
-    return out
+    return [complex(math.fsum(a.real), math.fsum(a.imag))
+            for a in ctable.tables[:m]]
 
 
 def power_sums_to_elementary(p: Sequence[complex]) -> list[complex]:

@@ -3,11 +3,12 @@
 A label set S is connected when the traces e ∩ S of the edges meeting S
 join all of S.
 
-Grown breadth-first by size: the family of connected label sets of size s
-is obtained by extending each connected set of size s-1 with one vertex
-from its edge neighborhood and deduplicating. Every connected set of size
-s > 1 contains a connected subset of size s-1, so the growth procedure is
-exhaustive.
+Grown breadth-first by size, in numpy: the connected label sets of size s
+are the sets of size s-1 extended by one vertex of an edge meeting them,
+deduplicated. Every connected set of size s > 1 contains a connected
+subset of size s-1, so the growth procedure is exhaustive. Each size is
+one (count, s) int64 array of ascending rows in lexicographic order, the
+one form of a label set from here through the tables to the power sums.
 """
 
 from __future__ import annotations
@@ -15,31 +16,65 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import MemoryCapError
 from .hypergraph import Hypergraph
 
 DEFAULT_SET_CAP = 1 << 26
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConnectedFamily:
     """Connected label sets of a fixed host, grouped by size.
 
-    by_size[s] lists, in lexicographic order, the connected label sets S
-    with |S| = s, for 1 <= s <= t_max (sizes beyond the host vertex count
-    are empty).
+    by_size[s-1] is a read-only (count, s) int64 array whose rows are the
+    connected label sets S with |S| = s, each row ascending and the rows
+    in lexicographic order, for 1 <= s <= t_max (sizes past the host's
+    largest component give (0, s) arrays). parents[s-1] is a read-only
+    (count, s) array: parents[s-1][j, b] is the row of by_size[s-2]
+    holding set j minus its b-th vertex, or -1 when that set is
+    disconnected (always -1 for s = 1: the empty set is no label set).
     """
 
     t_max: int
-    by_size: tuple[tuple[tuple[int, ...], ...], ...]
+    by_size: tuple[np.ndarray, ...]
+    parents: tuple[np.ndarray, ...]
 
-    def sets_of_size(self, s: int) -> tuple[tuple[int, ...], ...]:
+    def sets_of_size(self, s: int) -> np.ndarray:
         if s < 1 or s > self.t_max:
-            return ()
+            return np.empty((0, max(s, 0)), dtype=np.int64)
         return self.by_size[s - 1]
 
     def counts(self) -> dict[int, int]:
         return {s + 1: len(v) for s, v in enumerate(self.by_size)}
+
+
+def _edge_arrays(g: Hypergraph):
+    """Padded edge data: incident edge ids per vertex, vertex ids per edge
+    (padded with n, which is no vertex) and spin tables per edge. The
+    extra last edge meets nothing and has an all-ones table, so it pads
+    every slot without changing a product."""
+    dummy = len(g.edges)
+    incident = g.incident_index()
+    inc = np.full((g.n, max(1, g.max_degree)), dummy, dtype=np.int64)
+    for v, ids in enumerate(incident):
+        inc[v, :len(ids)] = ids
+    width = max(1, g.max_edge_size)
+    ev = np.full((dummy + 1, width), g.n, dtype=np.int64)
+    tab = np.ones((dummy + 1, 1 << width), dtype=np.complex128)
+    for i, e in enumerate(g.edges):
+        ev[i, :e.size] = e.vertices
+        tab[i, :1 << e.size] = e.activity.table(e.size)
+    return inc, ev, tab
+
+
+def _check_cap(stored: int, set_cap: int, size: int) -> None:
+    if stored > set_cap:
+        raise MemoryCapError(
+            f"connected-set frontier exceeded cap of {set_cap} sets"
+            f" at size {size}"
+        )
 
 
 def enumerate_connected(g: Hypergraph, t: int,
@@ -52,36 +87,42 @@ def enumerate_connected(g: Hypergraph, t: int,
     """
     if t < 1:
         raise ValueError("size budget t must be >= 1")
-    edge_verts = [frozenset(e.vertices) for e in g.edges]
-    incident = g.incident_index()
-
-    frontier = [frozenset((v,)) for v in range(g.n)]
-    by_size = [tuple(tuple(s) for v in range(g.n) for s in [(v,)])]
+    inc, ev, _ = _edge_arrays(g)
+    near = ev[inc].reshape(g.n, inc.shape[1] * ev.shape[1])
+    sets = np.arange(g.n, dtype=np.int64)[:, None]
+    by_size, parents = [sets], [np.full((g.n, 1), -1, dtype=np.int64)]
     stored = g.n
     for size in range(2, t + 1):
-        seen: set[frozenset[int]] = set()
-        for s in frontier:
-            nb: set[int] = set()
-            for v in s:
-                for ei in incident[v]:
-                    nb.update(edge_verts[ei])
-            nb -= s
-            for v in nb:
-                ext = s | {v}
-                if ext not in seen:
-                    seen.add(ext)
-                    stored += 1
-                    if stored > set_cap:
-                        raise MemoryCapError(
-                            f"connected-set frontier exceeded cap of {set_cap} sets"
-                            f" at size {size}"
-                        )
-        frontier = list(seen)
-        by_size.append(tuple(sorted(tuple(sorted(s)) for s in seen)))
-        if not seen:
-            by_size.extend(() for _ in range(size + 1, t + 1))
-            break
-    return ConnectedFamily(t, tuple(by_size))
+        # every vertex of an edge meeting set j, once, outside set j; the
+        # padding, members and repeats become g.n, which is no vertex
+        nb = near[sets].reshape(len(sets), (size - 1) * near.shape[1])
+        for member in sets.T:
+            nb[nb == member[:, None]] = g.n
+        nb.sort(axis=1)
+        nb[:, 1:][nb[:, 1:] == nb[:, :-1]] = g.n
+        row, col = np.nonzero(nb < g.n)
+        base, vert = sets[row], nb[row, col]
+        # a set of this size is reached once per connected parent, so at
+        # most `size` times: refuse before building rows past the cap
+        _check_cap(stored + -(-len(row) // size), set_cap, size)
+        ext = np.sort(np.concatenate([base, vert[:, None]], axis=1), axis=1)
+        order = np.lexsort(ext.T[::-1])
+        ext = ext[order]
+        first = np.ones(len(ext), dtype=bool)
+        first[1:] = (ext[1:] != ext[:-1]).any(axis=1)
+        # the pair (parent j, vertex v) lands on L = j + v with v at
+        # position b of L; every connected L \ {v} has such a pair
+        pos = (base < vert[:, None]).sum(axis=1)
+        sets = ext[first]
+        stored += len(sets)
+        _check_cap(stored, set_cap, size)
+        par = np.full(sets.shape, -1, dtype=np.int64)
+        par[np.cumsum(first) - 1, pos[order]] = row[order]
+        by_size.append(sets)
+        parents.append(par)
+    for a in by_size + parents:
+        a.flags.writeable = False
+    return ConnectedFamily(t, tuple(by_size), tuple(parents))
 
 
 def count_bound(n: int, max_degree: int, max_edge_size: int, t: int) -> float:

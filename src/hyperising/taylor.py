@@ -271,10 +271,3 @@ class PartitionEstimator:
             evaluation=evaluation,
         )
 
-
-def approximate_partition(g: Hypergraph, lam: complex, eps: float,
-                          order_cap: int = DEFAULT_ORDER_CAP,
-                          set_cap: int = DEFAULT_SET_CAP) -> TaylorApproximation:
-    """One-shot truncation run; see PartitionEstimator for amortized use."""
-    return PartitionEstimator(g, order_cap=order_cap,
-                              set_cap=set_cap).approximate(lam, eps)

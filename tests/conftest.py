@@ -93,6 +93,19 @@ def brute_connected_sets(g: Hypergraph, t: int) -> dict[int, set[tuple[int, ...]
     return out
 
 
+def label_sets(rows: np.ndarray) -> set[tuple[int, ...]]:
+    """The rows of a family's size array as a set of label tuples."""
+    return set(map(tuple, rows.tolist()))
+
+
+def table_dicts(ct) -> list[dict[int, complex]]:
+    """Each order's coefficient array as a map from label-set bitmask to
+    value; the arrays follow the family's rows, smaller sets first."""
+    masks = [sum(1 << v for v in row) for rows in ct.family.by_size
+             for row in rows.tolist()]
+    return [dict(zip(masks, t.tolist())) for t in ct.tables]
+
+
 def spanning_tree_count(adj: np.ndarray) -> int:
     """Kirchhoff: number of spanning trees from any Laplacian minor."""
     n = adj.shape[0]

@@ -2,7 +2,6 @@ import cmath
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from hyperising import (
@@ -19,7 +18,7 @@ from hyperising import (
 from hyperising.coefficients import _edge_arrays, _edge_products
 from hyperising.instances import random_connected_hypergraph
 
-from conftest import ising_edge, k2, path3, set_weight, triangle
+from conftest import ising_edge, k2, label_sets, path3, set_weight, triangle
 
 
 def test_parse_k2():
@@ -79,7 +78,8 @@ def test_roundtrip_to_doc():
 
 def connected_sets(g: Hypergraph) -> set[tuple[int, ...]]:
     fam = enumerate_connected(g, g.n)
-    return {s for size in range(1, g.n + 1) for s in fam.sets_of_size(size)}
+    return {s for size in range(1, g.n + 1)
+            for s in label_sets(fam.sets_of_size(size))}
 
 
 def test_induced_insect_path_examples():
@@ -113,10 +113,10 @@ def test_induced_nesting_by_enumeration():
         fam = enumerate_connected(g, g.n)
         for k in range(1, g.n + 1):
             labs = fam.sets_of_size(k)
-            if not labs:
+            if not len(labs):
                 break
-            lattice = _edge_products(np.asarray(labs, dtype=np.int64), *arrays)
-            for lab, row in zip(labs, lattice):
+            lattice = _edge_products(labs, *arrays)
+            for lab, row in zip(labs.tolist(), lattice):
                 for x in range(1 << k):
                     t = sum(1 << v for b, v in enumerate(lab) if x >> b & 1)
                     assert cmath.isclose((-1) ** x.bit_count() * row[x],

@@ -1,7 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperising import (
     Hypergraph,
@@ -16,6 +18,7 @@ from conftest import (
     cycle_graph,
     ising_edge,
     k2,
+    label_sets,
     path3,
     single_edge,
     subtree_count,
@@ -31,22 +34,61 @@ def subtree_count_bound(max_degree: int, t: int) -> float:
     return (math.e * max_degree) ** (t - 1) / 2.0
 
 
+@st.composite
+def split_hosts(draw):
+    """At most 10 vertices on shuffled labels: two random parts (each
+    possibly disconnected itself), one isolated vertex and a parallel copy
+    of the first edge."""
+    parts = [draw(st.integers(2, 6)), draw(st.integers(1, 3))]
+    n = sum(parts) + 1
+    labels = draw(st.permutations(range(n)))
+    edges, lo = [], 0
+    for size in parts:
+        part = labels[lo:lo + size]
+        lo += size
+        for _ in range(draw(st.integers(0, 2 * size)) if size > 1 else 0):
+            edges.append(ising_edge(draw(st.lists(
+                st.sampled_from(part), min_size=2, max_size=min(4, size),
+                unique=True)), 0.5))
+    return Hypergraph(n, tuple(edges + edges[:1]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(split_hosts())
+def test_sets_and_parents_match_brute_force(g):
+    fam = enumerate_connected(g, g.n)
+    brute = brute_connected_sets(g, g.n)
+    assert fam.parents[0].tolist() == [[-1]] * g.n
+    for s in range(1, g.n + 1):
+        rows = fam.sets_of_size(s)
+        assert rows.shape == (len(brute[s]), s)
+        assert label_sets(rows) == brute[s]
+        assert rows.tolist() == sorted(rows.tolist())
+        if s == 1:
+            continue
+        below = {lab: j for j, lab in
+                 enumerate(map(tuple, fam.sets_of_size(s - 1).tolist()))}
+        for lab, par in zip(rows.tolist(), fam.parents[s - 1].tolist()):
+            assert par == [below.get(tuple(lab[:b] + lab[b + 1:]), -1)
+                           for b in range(s)]
+
+
 def test_path_size_two_family():
     fam = enumerate_connected(path3(), 2)
-    assert fam.sets_of_size(1) == ((0,), (1,), (2,))
-    assert fam.sets_of_size(2) == ((0, 1), (1, 2))  # not the far pair
+    assert fam.sets_of_size(1).tolist() == [[0], [1], [2]]
+    assert fam.sets_of_size(2).tolist() == [[0, 1], [1, 2]]  # not the far pair
 
 
 def test_k2_family():
     fam = enumerate_connected(k2(), 2)
-    assert fam.sets_of_size(1) == ((0,), (1,))
-    assert fam.sets_of_size(2) == ((0, 1),)
+    assert fam.sets_of_size(1).tolist() == [[0], [1]]
+    assert fam.sets_of_size(2).tolist() == [[0, 1]]
 
 
 def test_three_hyperedge_family():
     fam = enumerate_connected(single_edge(3, 0.5), 2)
-    assert fam.sets_of_size(1) == ((0,), (1,), (2,))
-    assert fam.sets_of_size(2) == ((0, 1), (0, 2), (1, 2))
+    assert fam.sets_of_size(1).tolist() == [[0], [1], [2]]
+    assert fam.sets_of_size(2).tolist() == [[0, 1], [0, 2], [1, 2]]
 
 
 def test_exactness_against_brute_force(small_corpus):
@@ -55,7 +97,7 @@ def test_exactness_against_brute_force(small_corpus):
         fam = enumerate_connected(g, t)
         brute = brute_connected_sets(g, t)
         for s in range(1, t + 1):
-            assert set(fam.sets_of_size(s)) == brute[s], (g.n, s)
+            assert label_sets(fam.sets_of_size(s)) == brute[s], (g.n, s)
 
 
 def test_full_depth_exactness_on_n14():
@@ -64,7 +106,7 @@ def test_full_depth_exactness_on_n14():
     fam = enumerate_connected(g, 14)
     brute = brute_connected_sets(g, 14)
     for s in range(1, 15):
-        assert set(fam.sets_of_size(s)) == brute[s]
+        assert label_sets(fam.sets_of_size(s)) == brute[s]
 
 
 def test_monotone_in_t(small_corpus):
@@ -72,16 +114,16 @@ def test_monotone_in_t(small_corpus):
         t = min(g.n, 5)
         fams = [enumerate_connected(g, s) for s in range(1, t + 1)]
         for s in range(1, t):
-            small = {x for r in fams[s - 1].by_size for x in r}
-            big = {x for r in fams[s].by_size for x in r}
+            small = {x for r in fams[s - 1].by_size for x in label_sets(r)}
+            big = {x for r in fams[s].by_size for x in label_sets(r)}
             assert small <= big
 
 
 def test_saturation_beyond_host_size():
     fam = enumerate_connected(triangle(), 7)
-    assert fam.sets_of_size(3) == ((0, 1, 2),)
+    assert fam.sets_of_size(3).tolist() == [[0, 1, 2]]
     for s in range(4, 8):
-        assert fam.sets_of_size(s) == ()
+        assert fam.sets_of_size(s).shape == (0, s)
 
 
 def test_count_bound_value():
@@ -135,18 +177,20 @@ def test_deterministic_lexicographic_output():
     g = random_connected_hypergraph(rng, 10, 4, 3, activity="in-range")
     fam1 = enumerate_connected(g, 5)
     fam2 = enumerate_connected(g, 5)
-    assert fam1 == fam2
+    assert all(np.array_equal(a, b)
+               for a, b in zip(fam1.by_size + fam1.parents,
+                               fam2.by_size + fam2.parents))
     for s in range(1, 6):
-        row = fam1.sets_of_size(s)
-        assert list(row) == sorted(row)
+        row = fam1.sets_of_size(s).tolist()
+        assert row == sorted(row)
 
 
 def test_isolated_vertices_are_singletons():
     g = Hypergraph(4, (ising_edge((0, 1), 0.5),))
     fam = enumerate_connected(g, 3)
-    assert fam.sets_of_size(1) == ((0,), (1,), (2,), (3,))
-    assert fam.sets_of_size(2) == ((0, 1),)
-    assert fam.sets_of_size(3) == ()
+    assert fam.sets_of_size(1).tolist() == [[0], [1], [2], [3]]
+    assert fam.sets_of_size(2).tolist() == [[0, 1]]
+    assert fam.sets_of_size(3).shape == (0, 3)
 
 
 def test_rejects_nonpositive_budget():

@@ -12,7 +12,6 @@ from hyperising import (
     PartitionEstimator,
     TableActivity,
     UnitCircleError,
-    approximate_partition,
     exact_coefficients,
     exact_partition,
     log_series_from_coefficients,
@@ -105,7 +104,7 @@ def test_log_series_frozen_expansion():
 
 
 def test_approximate_k2_within_tolerance():
-    ap = approximate_partition(k2(0.5), 0.3, 0.01)
+    ap = PartitionEstimator(k2(0.5)).approximate(0.3, 0.01)
     assert rel_err(ap.value, 1.39) <= 0.01
     assert ap.guaranteed and not ap.inverted
     assert ap.bound <= 0.01 / 4
@@ -113,7 +112,7 @@ def test_approximate_k2_within_tolerance():
 
 def test_approximate_inverted_argument():
     lam = 10 / 3
-    ap = approximate_partition(k2(0.5), lam, 0.01)
+    ap = PartitionEstimator(k2(0.5)).approximate(lam, 0.01)
     assert ap.inverted
     assert ap.lam_effective == pytest.approx(0.3)
     exact = exact_partition(k2(0.5), lam)
@@ -123,28 +122,28 @@ def test_approximate_inverted_argument():
 
 def test_unit_circle_is_refused():
     with pytest.raises(UnitCircleError):
-        approximate_partition(k2(0.5), 1.0, 0.1)
+        PartitionEstimator(k2(0.5)).approximate(1.0, 0.1)
     with pytest.raises(UnitCircleError):
-        approximate_partition(k2(0.5), cmath.exp(0.7j), 0.1)
+        PartitionEstimator(k2(0.5)).approximate(cmath.exp(0.7j), 0.1)
     with pytest.raises(UnitCircleError):
-        approximate_partition(k2(0.5), 1.0 + 1e-13, 0.1)
+        PartitionEstimator(k2(0.5)).approximate(1.0 + 1e-13, 0.1)
 
 
 def test_epsilon_domain():
     with pytest.raises(ValueError):
-        approximate_partition(k2(0.5), 0.3, 0.0)
+        PartitionEstimator(k2(0.5)).approximate(0.3, 0.0)
     with pytest.raises(ValueError):
-        approximate_partition(k2(0.5), 0.3, 1.0)
+        PartitionEstimator(k2(0.5)).approximate(0.3, 1.0)
 
 
 def test_order_cap_refusal_mentions_order():
     g = path_graph(30, 0.5)
     with pytest.raises(OrderCapError, match=r"\d+"):
-        approximate_partition(g, 0.9, 0.01, order_cap=24)
+        PartitionEstimator(g, order_cap=24).approximate(0.9, 0.01)
 
 
 def test_lambda_zero_short_circuit():
-    ap = approximate_partition(k2(0.5), 0.0, 0.1)
+    ap = PartitionEstimator(k2(0.5)).approximate(0.0, 0.1)
     assert ap.value == 1.0 and ap.log_estimate == 0.0 and ap.bound == 0.0
 
 
@@ -176,7 +175,7 @@ def test_symmetric_tables_invert():
     rng = random.Random(37)
     g = random_connected_hypergraph(rng, 6, 4, 3, activity="table")
     lam = 2.2
-    ap = approximate_partition(g, lam, 0.05)
+    ap = PartitionEstimator(g).approximate(lam, 0.05)
     exact = exact_partition(g, lam)
     assert rel_err(ap.value, exact) <= 0.05
 
@@ -184,8 +183,8 @@ def test_symmetric_tables_invert():
 def test_inversion_consistency_relation():
     g = path_graph(6, 0.45)
     lam = 0.4
-    inner = approximate_partition(g, lam, 0.01)
-    outer = approximate_partition(g, 1 / lam, 0.01)
+    inner = PartitionEstimator(g).approximate(lam, 0.01)
+    outer = PartitionEstimator(g).approximate(1 / lam, 0.01)
     want = (1 / lam) ** g.n * inner.value
     assert abs(outer.value - want) <= 1e-9 * abs(outer.value)
 
@@ -194,15 +193,15 @@ def test_asymmetric_table_rejected_when_inverting():
     asym = TableActivity((1, 0.5 + 0.25j, 0.5 + 0.25j, 1))
     g = Hypergraph(2, (Hyperedge((0, 1), asym),))
     with pytest.raises(ValueError):
-        approximate_partition(g, 2.0, 0.1)
+        PartitionEstimator(g).approximate(2.0, 0.1)
     # inside the disk the same instance is accepted (best effort)
-    ap = approximate_partition(g, 0.3, 0.1)
+    ap = PartitionEstimator(g).approximate(0.3, 0.1)
     assert not ap.guaranteed
 
 
 def test_out_of_range_instance_downgrades_guarantee():
     g = single_edge(3, -0.6)  # below the admissible interval
-    ap = approximate_partition(g, 0.2, 0.1)
+    ap = PartitionEstimator(g).approximate(0.2, 0.1)
     assert not ap.guaranteed
     assert cmath.isfinite(ap.value)
 
@@ -210,7 +209,7 @@ def test_out_of_range_instance_downgrades_guarantee():
 def test_zero_inside_disk_is_returned():
     # beta = 1.25 is out of range: Z = (1 + 2 lam)(1 + lam / 2) vanishes
     # at lam = -1/2, where the polynomial path lands exactly on the zero
-    ap = approximate_partition(k2(1.25), -0.5, 0.1)
+    ap = PartitionEstimator(k2(1.25)).approximate(-0.5, 0.1)
     assert not ap.guaranteed and ap.evaluation == "polynomial"
     assert ap.value == 0 and ap.log_estimate.real == -math.inf
 
@@ -250,7 +249,7 @@ def test_reentrant_call_sees_one_snapshot(monkeypatch):
 
 
 def test_empty_host():
-    ap = approximate_partition(edgeless(0), 0.5, 0.1)
+    ap = PartitionEstimator(edgeless(0)).approximate(0.5, 0.1)
     assert ap.value == 1.0
 
 
@@ -267,7 +266,7 @@ def test_series_path_below_host_size():
 def test_saturated_order_does_bounded_work(lam):
     # m is about 2.3e8 here; summing that many series terms does not finish
     start = time.perf_counter()
-    ap = approximate_partition(k2(0.5), lam, 0.01)
+    ap = PartitionEstimator(k2(0.5)).approximate(lam, 0.01)
     assert time.perf_counter() - start < 1.0
     assert ap.evaluation == "polynomial"
     assert ap.order > 10 ** 8 and ap.bound <= 0.01 / 4
@@ -293,7 +292,7 @@ def test_clustered_zeros_against_rational_sum(lam):
     g = path_graph(8, 0.999)
     exact = float(_exact_chain_partition(8, 0.999, lam))
     for eps in (0.1, 0.01):
-        ap = approximate_partition(g, lam, eps)
+        ap = PartitionEstimator(g).approximate(lam, eps)
         assert ap.evaluation == "polynomial" and ap.guaranteed
         assert rel_err(ap.value, exact) <= eps
 
