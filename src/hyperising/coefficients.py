@@ -23,7 +23,9 @@ the host size never enters the mask width:
 
 * the edge-product lattice E[x] over the 2^k subsets x of L, from the
   spin tables of the edges that meet L (no other edge involves x), so
-  that w(x) = (-1)^|x| E[x];
+  that w(x) = (-1)^|x| E[x]. Each edge's table codes for all x come by
+  doubling, the codes of x | 2^b being those of x plus the place of the
+  b-th vertex in the edge, and E is multiplied up one edge at a time;
 * the ranked superset sums G_r[d] = sum over Y ⊆ L \\ d with |Y| = r of
   E[d | Y] (the ranked zeta transform of Björklund, Husfeldt, Kaski and
   Koivisto, "Fourier meets Möbius", STOC 2007). With S2 = L \\ d each
@@ -87,23 +89,35 @@ def _edge_products(sets: np.ndarray, inc: np.ndarray, ev: np.ndarray,
     local mask x is "+" and every other vertex is "-".
 
     Only the edges meeting sets[j] enter the product, each read from its
-    spin table at the pattern x puts on the edge.
+    spin table at the pattern x puts on the edge. The table codes of all
+    2^k masks are built by doubling over the local vertices, and the
+    product takes one edge slot at a time, in ascending slot order, into
+    one lattice.
     """
     nsets, k = sets.shape
     dummy = len(tab) - 1
-    # the distinct edges meeting each set; repeats become the dummy edge
+    # slot[s, j]: the distinct edges meeting set j, at least one per set;
+    # repeats and padding are the dummy edge, whose table is all ones
     slot = np.sort(inc[sets].reshape(nsets, -1), axis=1)
     slot[:, 1:][slot[:, 1:] == slot[:, :-1]] = dummy
     slot = np.sort(slot, axis=1)
-    slot = slot[:, :np.count_nonzero(slot.min(axis=0) < dummy)]
-    # place[j, s, i] = 2^p when the i-th vertex of set j is the p-th
-    # vertex of edge slot s, so the table code of local mask x is
-    # sum_i bit_i(x) * place[j, s, i]
-    hit = ev[slot][..., None] == sets[:, None, None, :]
-    place = (1 << np.arange(ev.shape[1])) @ hit
-    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    codes = (slot * tab.shape[1])[:, :, None] + place @ bits.T
-    return tab.ravel()[codes].prod(axis=1)
+    slot = slot[:, :max(1, np.count_nonzero(slot.min(axis=0) < dummy))].T
+    # place[s, i, j] = 2^p when the i-th vertex of set j is the p-th
+    # vertex of edge slot s, so the table code of local mask x is the
+    # slot's offset plus sum_i bit_i(x) * place[s, i, j]
+    hit = ev[slot][..., None] == sets[None, :, None, :]
+    place = ((1 << np.arange(ev.shape[1])) @ hit).transpose(0, 2, 1)
+    codes = np.empty((len(slot), 1 << k, nsets), dtype=np.int64)
+    codes[:, 0] = slot * tab.shape[1]
+    for b in range(k):
+        np.add(codes[:, :1 << b], place[:, b:b + 1],
+               out=codes[:, 1 << b:2 << b])
+    flat = tab.ravel()
+    e = np.take(flat, codes[0])
+    buf = np.empty_like(e)
+    for s in range(1, len(codes)):
+        e *= np.take(flat, codes[s], out=buf)
+    return e.T
 
 
 def _subset_index(idx: np.ndarray, offset: int, parents: np.ndarray,
@@ -205,6 +219,14 @@ def compute_coefficient_tables(
             # every S2 but L itself is a smaller set, finished in an
             # earlier batch; L is read only at lower orders of this loop
             stops = np.searchsorted(row_r, np.arange(m - k + 1), "right")
+            # pairs per set with rank <= r, whose maximum over the chunk
+            # is the pair scan of order k + r (r = |S1 ∩ S2|)
+            ranks = m - k + 1
+            per_rank = np.bincount(row_l * ranks + row_r, weights=row_mult,
+                                   minlength=(hi - lo) * ranks)
+            rank_max = per_rank.reshape(-1, ranks).cumsum(axis=1).max(axis=0)
+            for t, most in enumerate(rank_max.tolist(), start=k):
+                scan_max[t] = max(scan_max[t], int(most))
             for t, stop in enumerate(stops.tolist(), start=k):
                 # the gathered temporary goes first: numpy reuses a large
                 # temporary in place as the left operand, and the rounding
@@ -219,10 +241,6 @@ def compute_coefficient_tables(
                     # (-1)^(t-1) t w(L) with w(L) = (-1)^k E[L]
                     acc -= k * e[:, -1]
                 values[t, offset + lo:offset + hi] = acc
-                if stop:
-                    per_set = np.bincount(row_l[:stop],
-                                          weights=row_mult[:stop])
-                    scan_max[t] = max(scan_max[t], int(per_set.max()))
 
     values.flags.writeable = False
     # sets come in ascending size, so those of size <= t are a prefix

@@ -6,9 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperising import (
+    Hyperedge,
     Hypergraph,
+    IsingActivity,
+    TableActivity,
     compute_coefficient_tables,
     disjoint_union,
     elementary_to_coefficients,
@@ -21,6 +25,7 @@ from hyperising import (
 )
 from hyperising import coefficients
 from hyperising.instances import random_connected_hypergraph, random_regular_graph
+from hyperising.subgraphs import _edge_arrays
 
 from conftest import (brute_connected_sets, edgeless, ising_edge, k2,
                       max_coeff_rel_err, set_weight, single_edge, table_dicts,
@@ -304,11 +309,58 @@ def test_chunking_does_not_change_tables(monkeypatch):
                 assert abs(table[mask] - value) <= 1e-13 * abs(value)
 
 
+@st.composite
+def lattice_cases(draw):
+    """A host of 8 to 10 vertices with Ising and table edges of size 2 to
+    4, some repeated as parallel edges, and 2 to 4 label sets of size 8 or
+    more. Degrees differ, so incidence rows are padded with the dummy
+    edge; the sets need not be connected."""
+    n = draw(st.integers(8, 10))
+    weights = st.complex_numbers(max_magnitude=2, allow_nan=False,
+                                 allow_infinity=False)
+    edges = []
+    for _ in range(draw(st.integers(1, 2 * n))):
+        verts = tuple(sorted(draw(st.sets(st.integers(0, n - 1),
+                                          min_size=2, max_size=4))))
+        if draw(st.booleans()):
+            activity = IsingActivity(draw(st.floats(-1, 1)))
+        else:
+            size = (1 << len(verts)) - 1
+            activity = TableActivity((1 + 0j,) + tuple(draw(st.lists(
+                weights, min_size=size, max_size=size))))
+        edges += [Hyperedge(verts, activity)] * draw(st.integers(1, 2))
+    k = draw(st.integers(8, n))
+    sets = [sorted(draw(st.permutations(range(n)))[:k])
+            for _ in range(draw(st.integers(2, 4)))]
+    return Hypergraph(n, tuple(edges)), np.asarray(sets, dtype=np.int64)
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(lattice_cases())
+def test_edge_products_match_set_weights(case):
+    # E[j, x] = (-1)^|x| w(x) for the subset x of sets[j], and the rows of
+    # a set do not depend on the other sets passed with it
+    g, sets = case
+    arrays = _edge_arrays(g)
+    e = coefficients._edge_products(sets, *arrays)
+    assert e.shape == (len(sets), 1 << sets.shape[1])
+    for row, labels in zip(e.tolist(), sets.tolist()):
+        for x, got in enumerate(row):
+            mask = sum(1 << v for b, v in enumerate(labels) if x >> b & 1)
+            want = (-1) ** x.bit_count() * set_weight(g, mask)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    cut = len(sets) // 2
+    split = np.vstack([coefficients._edge_products(sets[:cut], *arrays),
+                       coefficients._edge_products(sets[cut:], *arrays)])
+    assert np.array_equal(split, e)
+
+
 def test_table_build_memory_stays_bounded():
     # the pair rows of a chunk are dropped once its orders are done; kept
     # for every size until one final order sweep, this build peaked at
-    # 227 MiB, against 109 MiB with the rows dropped chunk by chunk and
-    # 79.5 MiB with int32 subset index tables
+    # 227 MiB, against 109 MiB with the rows dropped chunk by chunk,
+    # 79.5 MiB with int32 subset index tables and 53.5 MiB with the edge
+    # products taken one edge slot at a time
     g = random_regular_graph(random.Random(256), 256, 3, 0.2)
     fam = enumerate_connected(g, 7)
     tracemalloc.start()
