@@ -45,7 +45,9 @@ rounded sum.
 
 Elementary symmetric functions of the reciprocal roots follow from the
 power sums by Newton's identities; with the all-minus normalization the
-partition polynomial is sum_i (-1)^i e_i lam^i.
+partition polynomial is sum_i (-1)^i e_i lam^i. With symmetric edge
+activities that polynomial is self-inversive, c_{n-i} = conj(c_i), so
+tables to depth n // 2 already fix it (`complete_self_inversive`).
 """
 
 from __future__ import annotations
@@ -280,6 +282,35 @@ def elementary_to_coefficients(e: Sequence[complex]) -> list[complex]:
     return [complex(1.0)] + [
         ei if (i + 1) % 2 == 0 else -ei for i, ei in enumerate(e)
     ]
+
+
+def complete_self_inversive(p: Sequence[complex], e: Sequence[complex],
+                            n: int) -> tuple[list[complex], list[complex]]:
+    """p_1..p_n and e_1..e_n of a self-inversive degree-n polynomial from
+    its first h power sums and elementary functions, n // 2 <= h <= n.
+
+    With symmetric edge activities a label set and its complement have
+    conjugate weights, so c_{n-i} = conj(c_i), i.e. e_{n-i} = (-1)^n
+    conj(e_i) with e_0 = 1. The power sums past h then follow from the
+    forward Newton identity
+    p_t = sum_{i=1}^{t-1} (-1)^(i-1) e_i p_{t-i} + (-1)^(t-1) t e_t.
+    """
+    h = len(e)
+    if not n // 2 <= h <= n or len(p) != h:
+        raise ValueError(f"need {n // 2}..{n} leading terms, got "
+                         f"{len(p)} power sums and {h} elementary functions")
+    lead = [complex(1.0)] + list(e)
+    mirrored = [lead[n - t].conjugate() for t in range(h + 1, n + 1)]
+    e_all = list(e) + (mirrored if n % 2 == 0 else [-x for x in mirrored])
+    p_all = list(p)
+    for t in range(h + 1, n + 1):
+        acc = 0.0 + 0.0j
+        for i in range(1, t):
+            term = p_all[t - i - 1] * e_all[i - 1]
+            acc += term if i % 2 == 1 else -term
+        last = t * e_all[t - 1]
+        p_all.append(acc + last if t % 2 == 1 else acc - last)
+    return p_all, e_all
 
 
 def extend_power_sums(p: Sequence[complex], e: Sequence[complex],

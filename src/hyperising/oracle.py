@@ -207,11 +207,13 @@ def zero_report(g: Hypergraph, residual_tol: float = 1e-8,
                 cap: int = DEFAULT_VERTEX_CAP) -> ZeroReport:
     """Root locations of the exact partition polynomial of g.
 
-    On an all-Ising host a set and its complement have the same weight, so
-    Z is palindromic; the coefficients are averaged with their reverse
-    first, because rounding that breaks the symmetry moves clustered roots
-    off the circle by far more than it moves the coefficients."""
+    With symmetric activities a set and its complement have conjugate
+    weights, so Z is self-inversive, c_{n-i} = conj(c_i) (palindromic on
+    an all-Ising host, whose coefficients are real); the coefficients are
+    averaged with their conjugate reverse first, because rounding that
+    breaks the symmetry moves clustered roots off the circle by far more
+    than it moves the coefficients."""
     c = exact_coefficients(g, cap=cap)
-    if all(isinstance(e.activity, IsingActivity) for e in g.edges):
-        c = 0.5 * (c + c[::-1])
+    if g.all_symmetric():
+        c = 0.5 * (c + c[::-1].conj())
     return coefficient_zeros(c, residual_tol=residual_tol)

@@ -9,11 +9,14 @@ additive error of eps/4 in log Z yields a multiplicative error within
 1 +/- eps in Z. Arguments outside the unit disk are pulled inside with
 Z(lam) = lam^n * Z_conj(1/lam), valid for symmetric edge activities.
 
-The order m grows without bound as |lam| -> 1, but once m >= n the tables
-to depth n already give every e_1..e_n, i.e. the whole polynomial. The
-estimator then skips the series and evaluates Z by Horner's rule, exact up
-to rounding in the table values, so every call does work bounded by n and
-the table caps whatever |lam| is.
+The order m grows without bound as |lam| -> 1, but once m >= n the
+estimator has every e_1..e_n, i.e. the whole polynomial: from tables to
+depth n in general, and from tables to depth n // 2 on a host with
+symmetric activities, whose polynomial is self-inversive (c_{n-i} =
+conj(c_i)), so the mirror gives the rest. The estimator then skips the
+series and evaluates Z by Horner's rule, exact up to rounding in the table
+values, so every call does work bounded by n and the table caps whatever
+|lam| is.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Sequence
 
 from .coefficients import (
     CoefficientTable,
+    complete_self_inversive,
     compute_coefficient_tables,
     elementary_to_coefficients,
     extend_power_sums,
@@ -126,10 +130,11 @@ class TaylorApproximation:
     `evaluation` names the path taken. With "series" (m < n), `log_estimate`
     is the series truncated after m terms and `value` its exponential. With
     "polynomial" (m >= n), no series is summed: `value` is Z evaluated from
-    the coefficients c_0..c_n, and `log_estimate` is cmath.log of
-    Z(lam_effective) on the principal branch. `order` and `bound` keep
-    their a-priori values there, although the value then carries no
-    truncation error, only rounding in the table values.
+    the coefficients c_0..c_n (on a symmetric host c_0..c_{n//2} from the
+    tables and the rest as c_{n-i} = conj(c_i)), and `log_estimate` is
+    cmath.log of Z(lam_effective) on the principal branch. `order` and
+    `bound` keep their a-priori values there, although the value then
+    carries no truncation error, only rounding in the table values.
     """
 
     order: int
@@ -153,8 +158,12 @@ class PartitionEstimator:
         self.host = g
         self.order_cap = order_cap
         self.set_cap = set_cap
+        # deepest table a symmetric host needs: the mirror c_{n-i} =
+        # conj(c_i) gives every coefficient above it
+        self._half = max(1, g.n // 2) if g.all_symmetric() else None
         # (tables, p_1..p_depth, e_1..e_depth), replaced whole so that a
-        # reader never pairs one build's tables with another's sums
+        # reader never pairs one build's tables with another's sums; on a
+        # symmetric host tables to depth n // 2 come with p and e to n
         self._state: tuple[CoefficientTable, list[complex],
                            list[complex]] | None = None
         self._conj: PartitionEstimator | None = None
@@ -171,48 +180,58 @@ class PartitionEstimator:
         return self._conj
 
     def _tables(self, depth: int, m: int):
-        """A snapshot (tables, power sums, elementary functions) at least
-        `depth` deep, built and published in one assignment if the current
-        one is shallower."""
+        """A snapshot (tables, power sums, elementary functions) whose sums
+        reach at least order `depth`, built and published in one assignment
+        if the current one falls short. On a symmetric host the tables stop
+        at depth n // 2, and a build that reaches it completes the sums to
+        order n by the mirror, so no later request rebuilds."""
         if depth > self.order_cap:
             raise OrderCapError(
                 f"truncation order {m} needs tables to order {depth}, "
                 f"above the cap {self.order_cap}"
             )
         state = self._state
-        if state is None or state[0].m < depth:
-            fam = enumerate_connected(self.host, depth, set_cap=self.set_cap)
-            ctable = compute_coefficient_tables(self.host, depth, fam=fam,
+        if state is None or len(state[1]) < depth:
+            half = self._half
+            build = depth if half is None else min(depth, half)
+            fam = enumerate_connected(self.host, build, set_cap=self.set_cap)
+            ctable = compute_coefficient_tables(self.host, build, fam=fam,
                                                 set_cap=self.set_cap)
             p = power_sums(ctable)
-            state = (ctable, p, power_sums_to_elementary(p))
+            e = power_sums_to_elementary(p)
+            if build == half:
+                p, e = complete_self_inversive(p, e, self.host.n)
+            state = (ctable, p, e)
             self._state = state
         return state
 
     def power_sums_up_to(self, m: int) -> list[complex]:
         """Power sums p_1..p_m; the table recurrence is run only up to the
-        host size, beyond which Newton's identity continues the sequence.
-        Orders above the cap are refused before any work is done."""
+        host size (half of it on a symmetric host), beyond which Newton's
+        identity continues the sequence. Orders above the cap are refused
+        before any work is done."""
         if m > self.order_cap:
             raise OrderCapError(
                 f"order {m} is above the cap {self.order_cap}")
         n = self.host.n
         if n == 0:
             return [0.0 + 0.0j] * m
-        ctable, p, e = self._tables(min(m, n), m)
-        if m <= ctable.m:
+        _, p, e = self._tables(min(m, n), m)
+        if m <= len(p):
             return p[:m]
-        # tables are never built past n, so this snapshot covers the host
+        # sums never go past n, so this snapshot covers the host
         return extend_power_sums(p, e, m)
 
     def _coefficients(self, m: int) -> list[complex]:
         """Partition-polynomial coefficients c_0..c_n, from tables to the
-        host size; `m` is the truncation order asking for them."""
+        host size or, on a symmetric host, to half of it and the mirror;
+        `m` is the truncation order asking for them."""
         n = self.host.n
         return elementary_to_coefficients(self._tables(n, m)[2] if n else [])
 
     def elementary(self) -> list[complex]:
-        """e_1..e_depth for the deepest order computed so far."""
+        """e_1..e_depth for the deepest order computed so far; e_1..e_n
+        once the tables of a symmetric host have reached depth n // 2."""
         state = self._state
         return [] if state is None else state[2]
 

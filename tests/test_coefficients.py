@@ -134,6 +134,19 @@ def test_newton_inversion_examples():
         assert ei == pytest.approx((-1) ** i * math.comb(n, i), abs=1e-9)
 
 
+def test_self_inversive_completion_of_binomial():
+    # (1 + lam)^n from its first n // 2 terms: e_i = (-1)^i C(n, i) and
+    # p_t = n (-1)^t up to order n, for odd and even n
+    for n in (5, 6):
+        p = [n * (-1) ** t for t in range(1, n // 2 + 1)]
+        p_all, e_all = coefficients.complete_self_inversive(
+            p, power_sums_to_elementary(p), n)
+        assert p_all == [n * (-1) ** t for t in range(1, n + 1)]
+        assert e_all == [(-1) ** i * math.comb(n, i) for i in range(1, n + 1)]
+    with pytest.raises(ValueError):
+        coefficients.complete_self_inversive([-6], [-6], 6)
+
+
 def test_elementary_vanishes_past_host_size():
     ct = compute_coefficient_tables(k2(0.5), 5)
     e = power_sums_to_elementary(power_sums(ct))

@@ -196,3 +196,21 @@ def test_zero_report_contract():
     assert np.all(rep.residuals <= 1e-8 * scale)
     assert rep.max_circle_deviation == pytest.approx(
         float(np.max(np.abs(np.abs(rep.roots) - 1))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1),
+       activity=st.sampled_from(["table", "mixed"]))
+def test_zero_report_symmetrises_self_inversive_tables(n, seed, activity):
+    # symmetric tables give c_{n-i} = conj(c_i); the report's coefficients
+    # hold it exactly and stay within rounding of the oracle's
+    g = random_connected_hypergraph(random.Random(seed), n, 4, 4,
+                                    activity=activity)
+    rep = zero_report(g, residual_tol=1e-8)
+    c = rep.coefficients
+    assert all(c[n - i] == c[i].conjugate() for i in range(n + 1))
+    exact = exact_coefficients(g)
+    scale = np.max(np.abs(exact))
+    assert np.max(np.abs(c - exact)) <= 1e-12 * scale
+    assert len(rep.roots) == n
+    assert np.all(rep.residuals <= 1e-8 * np.max(np.abs(c)))

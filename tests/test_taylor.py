@@ -12,15 +12,19 @@ from hyperising import (
     PartitionEstimator,
     TableActivity,
     UnitCircleError,
+    compute_coefficient_tables,
+    elementary_to_coefficients,
     exact_coefficients,
     exact_partition,
     log_series_from_coefficients,
+    power_sums,
+    power_sums_to_elementary,
     truncated_log_partition,
     truncation_bound,
     truncation_order,
 )
 from hyperising import Hyperedge, Hypergraph, taylor
-from hyperising.instances import random_connected_hypergraph
+from hyperising.instances import random_connected_hypergraph, random_regular_graph
 
 from conftest import LAMBDA_GRID, edgeless, k2, path_graph, rel_err, single_edge
 
@@ -312,3 +316,76 @@ def test_guaranteed_estimates_match_oracle_near_circle(n, seed, activity, r,
         ap = est.approximate(arg, eps)
         if ap.guaranteed:
             assert rel_err(ap.value, exact_partition(g, arg)) <= eps
+
+
+def _direct(g, depth):
+    """p and e from one table build to `depth`, with no mirror."""
+    p = power_sums(compute_coefficient_tables(g, depth))
+    return p, power_sums_to_elementary(p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1),
+       activity=st.sampled_from(["in-range", "table", "mixed"]))
+def test_symmetric_host_mirrors_half_depth_tables(n, seed, activity):
+    g = random_connected_hypergraph(random.Random(seed), n, 4, 4,
+                                    activity=activity)
+    assert g.all_symmetric()
+    est = PartitionEstimator(g)
+    p = est.power_sums_up_to(n)
+    e = est.elementary()
+    assert est._state[0].m == n // 2
+    p_direct, e_direct = _direct(g, n)
+    for got, want in zip((p, e), (p_direct, e_direct)):
+        assert len(got) == n
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+    exact = exact_coefficients(g)
+    for a, b in zip(elementary_to_coefficients(e), exact):
+        assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+
+
+def test_asymmetric_host_builds_full_depth_unchanged():
+    g = random_connected_hypergraph(random.Random(41), 9, 4, 4,
+                                    activity="mixed")
+    first = g.edges[0]
+    values = list(first.activity.table(first.size))
+    values[1] += 0.05 + 0.02j
+    g = Hypergraph(g.n, (Hyperedge(first.vertices, TableActivity(
+        tuple(values))),) + g.edges[1:])
+    assert not g.all_symmetric()
+    est = PartitionEstimator(g)
+    p = est.power_sums_up_to(g.n)
+    assert est._state[0].m == g.n
+    assert (p, est.elementary()) == _direct(g, g.n)
+
+
+def test_symmetric_host_builds_tables_once(monkeypatch):
+    # the benchmark's corpus calls on one host: every order past n // 2 is
+    # served by the first snapshot that reaches it
+    g = random_connected_hypergraph(random.Random(12), 12, 4, 4)
+    builds = []
+    real = taylor.compute_coefficient_tables
+
+    def counting(*args, **kwargs):
+        builds.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(taylor, "compute_coefficient_tables", counting)
+    est = PartitionEstimator(g)
+    for lam in (0.3, 0.5 * cmath.exp(1j * math.pi / 3), 0.9, 1.5):
+        for eps in (0.1, 0.01):
+            est.approximate(lam, eps)
+    est.power_sums_up_to(g.n)
+    assert builds == [6]
+
+
+def test_twenty_vertex_polynomial_path_answers():
+    # m = 411 >= n: tables to depth 10 and the mirror give every
+    # coefficient, where a depth-20 build did not finish within 30 s
+    g = random_regular_graph(random.Random(1), 20, 3, 0.2)
+    est = PartitionEstimator(g)
+    ap = est.approximate(0.97, 0.01)
+    assert ap.evaluation == "polynomial" and ap.guaranteed
+    assert est._state[0].m == 10
+    assert rel_err(ap.value, exact_partition(g, 0.97)) <= 0.01
