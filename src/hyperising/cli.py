@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 malformed input (file, schema, flag values);
 2 refusal of a well-formed request (|lambda| on the unit circle, a cap
-would be exceeded, or a numerical certification failed).
+would be exceeded, Z overflows double precision, or a numerical
+certification failed).
 
 Every global flag is mirrored by an environment variable with the
 HYPERISING_ prefix (flags win), e.g. HYPERISING_M_CAP for --m-cap.
@@ -98,29 +99,35 @@ def _load_input(path: str) -> tuple[Hypergraph, str]:
     return parse_hypergraph(doc), digest
 
 
+# global flags (flag, type, default, help); each defaults to None when
+# parsed, and _apply_env fills it from HYPERISING_<FLAG> or the default
+_GLOBAL_FLAGS = (
+    ("--threads", int, 1,
+     "echoed in sweep reports; every command runs on one thread"),
+    ("--m-cap", int, 24, "cap on the coefficient-table order"),
+    ("--memory-cap", int, 1 << 26, "cap on stored connected label sets"),
+    ("--oracle-cap", int, 24, "vertex cap for exact enumeration"),
+    ("--tol-circle", float, 1e-6, "allowed deviation of |root| from 1"),
+    ("--tol-residual", float, 1e-8,
+     "allowed |P(root)| relative to max |coefficient|"),
+    ("--seed", int, 0, "seed for generated instances"),
+)
+
+
 def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int,
-                   default=_env("THREADS", int, 1),
-                   help="echoed in sweep reports; every command runs on"
-                        " one thread")
-    p.add_argument("--m-cap", type=int, default=_env("M_CAP", int, 24),
-                   help="cap on the coefficient-table order")
-    p.add_argument("--memory-cap", type=int,
-                   default=_env("MEMORY_CAP", int, 1 << 26),
-                   help="cap on stored connected label sets")
-    p.add_argument("--oracle-cap", type=int,
-                   default=_env("ORACLE_CAP", int, 24),
-                   help="vertex cap for exact enumeration")
-    p.add_argument("--tol-circle", type=float,
-                   default=_env("TOL_CIRCLE", float, 1e-6),
-                   help="allowed deviation of |root| from 1")
-    p.add_argument("--tol-residual", type=float,
-                   default=_env("TOL_RESIDUAL", float, 1e-8),
-                   help="allowed |P(root)| relative to max |coefficient|")
-    p.add_argument("--seed", type=int, default=_env("SEED", int, 0),
-                   help="seed for generated instances")
+    for flag, cast, _, text in _GLOBAL_FLAGS:
+        p.add_argument(flag, type=cast, help=text)
     p.add_argument("--verbose", "-v", action="store_true",
                    help="stage logging on stderr")
+
+
+def _apply_env(args) -> None:
+    """Fill every global flag not given on the command line from its
+    environment variable, so a flag wins even over a malformed one."""
+    for flag, cast, default, _ in _GLOBAL_FLAGS:
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, _env(dest.upper(), cast, default))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,6 +440,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _apply_env(args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

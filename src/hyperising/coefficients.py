@@ -251,14 +251,11 @@ def compute_coefficient_tables(
     return CoefficientTable(m, fam, tables, tuple(scan_max[1:]))
 
 
-def power_sums(ctable: CoefficientTable, m: int | None = None) -> list[complex]:
+def power_sums(ctable: CoefficientTable) -> list[complex]:
     """p_t = sum of the order-t coefficients over the connected label
     sets, correctly rounded in each part and so independent of set order."""
-    m = ctable.m if m is None else m
-    if m > ctable.m:
-        raise ValueError("tables not computed to the requested order")
     return [complex(math.fsum(a.real), math.fsum(a.imag))
-            for a in ctable.tables[:m]]
+            for a in ctable.tables]
 
 
 def power_sums_to_elementary(p: Sequence[complex]) -> list[complex]:
@@ -292,8 +289,7 @@ def complete_self_inversive(p: Sequence[complex], e: Sequence[complex],
     With symmetric edge activities a label set and its complement have
     conjugate weights, so c_{n-i} = conj(c_i), i.e. e_{n-i} = (-1)^n
     conj(e_i) with e_0 = 1. The power sums past h then follow from the
-    forward Newton identity
-    p_t = sum_{i=1}^{t-1} (-1)^(i-1) e_i p_{t-i} + (-1)^(t-1) t e_t.
+    forward Newton identity of `extend_power_sums`.
     """
     h = len(e)
     if not n // 2 <= h <= n or len(p) != h:
@@ -302,33 +298,27 @@ def complete_self_inversive(p: Sequence[complex], e: Sequence[complex],
     lead = [complex(1.0)] + list(e)
     mirrored = [lead[n - t].conjugate() for t in range(h + 1, n + 1)]
     e_all = list(e) + (mirrored if n % 2 == 0 else [-x for x in mirrored])
-    p_all = list(p)
-    for t in range(h + 1, n + 1):
-        acc = 0.0 + 0.0j
-        for i in range(1, t):
-            term = p_all[t - i - 1] * e_all[i - 1]
-            acc += term if i % 2 == 1 else -term
-        last = t * e_all[t - 1]
-        p_all.append(acc + last if t % 2 == 1 else acc - last)
-    return p_all, e_all
+    return extend_power_sums(p, e_all, n), e_all
 
 
 def extend_power_sums(p: Sequence[complex], e: Sequence[complex],
                       m: int) -> list[complex]:
-    """Continue p_t past the host size with Newton's identity.
+    """Continue p_1..p_h to p_1..p_m with the forward Newton identity
+    p_t = sum_{i=1}^{min(t-1,n)} (-1)^(i-1) e_i p_{t-i} + (-1)^(t-1) t e_t,
+    where e_t = 0 past n.
 
     Requires the complete elementary list e_1..e_n of the host (all higher
-    ones vanish), and p covering orders 1..n; each new term is then
-    p_t = sum_{i=1}^{n} (-1)^(i-1) p_{t-i} e_i.
+    ones vanish); p may stop at any order.
     """
     n = len(e)
-    if len(p) < n:
-        raise ValueError("power sums must cover orders 1..n before extending")
     out = list(p)
     for t in range(len(out) + 1, m + 1):
         acc = 0.0 + 0.0j
-        for i in range(1, n + 1):
+        for i in range(1, min(t - 1, n) + 1):
             term = out[t - i - 1] * e[i - 1]
             acc += term if i % 2 == 1 else -term
+        if t <= n:
+            last = t * e[t - 1]
+            acc = acc + last if t % 2 == 1 else acc - last
         out.append(acc)
     return out[:m]

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
 CLI exit-code mapping: SchemaError and bad flag values are input errors
-(exit 1); everything below CapError, plus UnitCircleError and
-RootConvergenceError, are refusals of a well-formed request (exit 2).
+(exit 1); every other HyperIsingError (the caps, UnitCircleError,
+RootConvergenceError, an overflow of Z) is a refusal of a well-formed
+request (exit 2).
 """
 
 

@@ -30,9 +30,6 @@ class IsingActivity:
         # real table, invariant under a global spin flip
         return True
 
-    def conjugate(self) -> "IsingActivity":
-        return self
-
     def table(self, size: int) -> tuple[complex, ...]:
         """Expand to the explicit table over the 2^size spin patterns."""
         full = (1 << size) - 1
@@ -64,9 +61,6 @@ class TableActivity:
             self.values[b] == self.values[full ^ b].conjugate()
             for b in range(1 << size)
         )
-
-    def conjugate(self) -> "TableActivity":
-        return TableActivity(tuple(v.conjugate() for v in self.values))
 
     def table(self, size: int) -> tuple[complex, ...]:
         return self.values
@@ -139,11 +133,6 @@ class Hypergraph:
             for v in e.vertices:
                 idx[v].append(i)
         return idx
-
-    def conjugate_activities(self) -> "Hypergraph":
-        return Hypergraph(self.n, tuple(
-            Hyperedge(e.vertices, e.activity.conjugate()) for e in self.edges
-        ))
 
     def all_symmetric(self) -> bool:
         return all(e.is_symmetric() for e in self.edges)

@@ -7,7 +7,10 @@ circle, truncating after m terms leaves an additive error of at most
 n |lam|^{m+1} / ((m+1)(1-|lam|)) inside the open unit disk, and an
 additive error of eps/4 in log Z yields a multiplicative error within
 1 +/- eps in Z. Arguments outside the unit disk are pulled inside with
-Z(lam) = lam^n * Z_conj(1/lam), valid for symmetric edge activities.
+Z(lam) = lam^n * conj(Z(1/conj(lam))), valid for symmetric edge
+activities: the series or polynomial at 1/lam reads the conjugates of the
+host's own power sums or coefficients, so one snapshot of the tables
+serves both sides of the circle.
 
 The order m grows without bound as |lam| -> 1, but once m >= n the
 estimator has every e_1..e_n, i.e. the whole polynomial: from tables to
@@ -35,7 +38,7 @@ from .coefficients import (
     power_sums,
     power_sums_to_elementary,
 )
-from .errors import OrderCapError, UnitCircleError
+from .errors import HyperIsingError, OrderCapError, UnitCircleError
 from .hypergraph import Hypergraph
 from .leeyang import check_activity_ranges
 from .subgraphs import DEFAULT_SET_CAP, enumerate_connected
@@ -87,6 +90,11 @@ def _horner(c: Sequence[complex], lam: complex) -> complex:
     for ci in reversed(c):
         acc = acc * lam + ci
     return acc
+
+
+def _conj(xs: Sequence[complex]) -> list[complex]:
+    """Conjugates that keep an exact +0.0 imaginary part as it is."""
+    return [x.conjugate() if x.imag else x for x in xs]
 
 
 def log_series_from_coefficients(c: Sequence[complex], lam: complex,
@@ -150,8 +158,9 @@ class TaylorApproximation:
 
 
 class PartitionEstimator:
-    """Truncation pipeline for one host, reusing enumeration and tables
-    across calls with different arguments and accuracies."""
+    """Truncation pipeline for one host, reusing one snapshot of tables
+    across calls with different accuracies and arguments on either side
+    of the unit circle."""
 
     def __init__(self, g: Hypergraph, order_cap: int = DEFAULT_ORDER_CAP,
                  set_cap: int = DEFAULT_SET_CAP):
@@ -166,18 +175,7 @@ class PartitionEstimator:
         # symmetric host tables to depth n // 2 come with p and e to n
         self._state: tuple[CoefficientTable, list[complex],
                            list[complex]] | None = None
-        self._conj: PartitionEstimator | None = None
         self._guaranteed: bool | None = None
-
-    def _conj_estimator(self) -> "PartitionEstimator":
-        if self._conj is None:
-            conj_host = self.host.conjugate_activities()
-            if conj_host == self.host:
-                self._conj = self
-            else:
-                self._conj = PartitionEstimator(conj_host, self.order_cap,
-                                                self.set_cap)
-        return self._conj
 
     def _tables(self, depth: int, m: int):
         """A snapshot (tables, power sums, elementary functions) whose sums
@@ -246,6 +244,8 @@ class PartitionEstimator:
         lam = complex(lam)
         if not 0 < eps < 1:
             raise ValueError("accuracy must lie in (0, 1)")
+        if not cmath.isfinite(lam):
+            raise ValueError(f"lambda must be finite, got {lam}")
         if abs(abs(lam) - 1.0) <= UNIT_CIRCLE_TOL:
             raise UnitCircleError(
                 "|lambda| = 1 is excluded: partition zeros accumulate on the"
@@ -253,30 +253,34 @@ class PartitionEstimator:
             )
         n = self.host.n
         inverted = abs(lam) > 1
-        if inverted:
-            if not self.host.all_symmetric():
-                raise ValueError(
-                    "|lambda| > 1 requires symmetric edge activities for the"
-                    " inversion identity"
-                )
-            inner = self._conj_estimator()
-            lam_eff = 1 / lam
-        else:
-            inner = self
-            lam_eff = lam
+        if inverted and self._half is None:
+            raise ValueError(
+                "|lambda| > 1 requires symmetric edge activities for the"
+                " inversion identity"
+            )
+        lam_eff = 1 / lam if inverted else lam
         abs_eff = abs(lam_eff)
         m = 1 if abs_eff == 0 else truncation_order(n, eps, abs_eff)
-        if m >= n:
-            evaluation = "polynomial"
-            value = _horner(inner._coefficients(m), lam_eff)
-            log_est = cmath.log(value) if value else complex(-math.inf)
-        else:
-            evaluation = "series"
-            p = inner.power_sums_up_to(m)
-            log_est = truncated_log_partition(p, lam_eff, m)
-            value = cmath.exp(log_est)
-        if inverted:
-            value *= lam**n
+        try:
+            if m >= n:
+                evaluation = "polynomial"
+                c = self._coefficients(m)
+                value = _horner(_conj(c) if inverted else c, lam_eff)
+                log_est = cmath.log(value) if value else complex(-math.inf)
+            else:
+                evaluation = "series"
+                p = self.power_sums_up_to(m)
+                log_est = truncated_log_partition(
+                    _conj(p) if inverted else p, lam_eff, m)
+                value = cmath.exp(log_est)
+            if inverted:
+                value *= lam**n
+        except OverflowError:
+            value = complex(math.inf)
+        if not cmath.isfinite(value):
+            raise HyperIsingError(
+                f"Z at lambda = {lam} overflows double precision on {n}"
+                " vertices")
         return TaylorApproximation(
             order=m,
             lam=lam,

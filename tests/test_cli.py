@@ -193,6 +193,33 @@ def test_mcap_refusal_and_flag_override(capsys, write_doc, monkeypatch):
     code, rep, _ = run_cli(capsys, ["approx", path, "--lambda", "0.5",
                                     "--epsilon", "0.1", "--m-cap", "24"])
     assert code == 0 and rep["result"]["m"] >= 1
+    # the flag also wins over a malformed variable, which alone is an
+    # input error
+    monkeypatch.setenv("HYPERISING_M_CAP", "abc")
+    code, rep, _ = run_cli(capsys, ["approx", path, "--lambda", "0.5",
+                                    "--epsilon", "0.1", "--m-cap", "24"])
+    assert code == 0 and rep["result"]["m"] >= 1
+    code, rep, err = run_cli(capsys, ["approx", path, "--lambda", "0.5",
+                                      "--epsilon", "0.1"])
+    assert code == 1 and rep is None
+    assert err.startswith("error:") and "HYPERISING_M_CAP" in err
+
+
+@pytest.mark.parametrize("lam", ["inf", "0,inf", "nan"])
+def test_approx_non_finite_lambda_exit_one(capsys, write_doc, lam):
+    path = write_doc(K2_DOC)
+    code, rep, err = run_cli(capsys, ["approx", path, "--lambda", lam,
+                                      "--epsilon", "0.1"])
+    assert code == 1 and rep is None
+    assert "finite" in err
+
+
+def test_approx_overflow_refused(capsys, write_doc):
+    path = write_doc(K2_DOC)
+    code, rep, err = run_cli(capsys, ["approx", path, "--lambda", "1e200",
+                                      "--epsilon", "0.1"])
+    assert code == 2 and rep is None
+    assert err.startswith("refused:") and "overflows" in err
 
 
 def test_coeffs_order_above_cap_exit_two(capsys, write_doc):

@@ -425,9 +425,14 @@ def test_extension_matches_direct_tables():
     np.testing.assert_allclose(p_ext, p_direct, atol=1e-10)
 
 
-def test_extension_requires_full_prefix():
-    with pytest.raises(ValueError):
-        extend_power_sums([1.0], [0.5, 0.5], 5)
+def test_extension_continues_short_prefix():
+    # (1 + lam)^n has every reciprocal root at -1, so p_t = n (-1)^t at
+    # every order; one loop continues any prefix, shorter than e or not
+    for n in (5, 6):
+        e = [(-1) ** i * math.comb(n, i) for i in range(1, n + 1)]
+        want = [n * (-1) ** t for t in range(1, n + 5)]
+        for h in range(n + 2):
+            assert extend_power_sums(want[:h], e, n + 4) == want
 
 
 def test_weight_matches_definition_on_random_sets():

@@ -193,6 +193,31 @@ def test_inversion_consistency_relation():
     assert abs(outer.value - want) <= 1e-9 * abs(outer.value)
 
 
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(n=st.integers(4, 8), seed=st.integers(0, 2 ** 32 - 1),
+       activity=st.sampled_from(["table", "mixed"]),
+       near=st.floats(1.01, 1.5), far=st.floats(20, 100),
+       theta=st.floats(0, 2 * math.pi), eps=st.sampled_from([0.1, 0.01]))
+def test_inverted_estimates_match_oracle(n, seed, activity, near, far, theta,
+                                         eps):
+    # |lam| > 1 on both paths, from the conjugates of the host's own sums
+    g = random_connected_hypergraph(random.Random(seed), n, 4, 4,
+                                    activity=activity)
+    est = PartitionEstimator(g)
+    for r, path in ((near, "polynomial"), (far, "series")):
+        lam = cmath.rect(r, theta)
+        ap = est.approximate(lam, eps)
+        assert ap.inverted and ap.evaluation == path and ap.guaranteed
+        assert rel_err(ap.value, exact_partition(g, lam)) <= eps
+
+
+def test_non_finite_lambda_refused():
+    est = PartitionEstimator(k2(0.5))
+    for lam in (math.inf, complex(0.0, -math.inf), math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            est.approximate(lam, 0.1)
+
+
 def test_asymmetric_table_rejected_when_inverting():
     asym = TableActivity((1, 0.5 + 0.25j, 0.5 + 0.25j, 1))
     g = Hypergraph(2, (Hyperedge((0, 1), asym),))
@@ -378,6 +403,19 @@ def test_symmetric_host_builds_tables_once(monkeypatch):
             est.approximate(lam, eps)
     est.power_sums_up_to(g.n)
     assert builds == [6]
+
+    # a complex-table host answers |lam| > 1 from the conjugates of its
+    # own sums, so both sides of the circle share one build
+    g = random_connected_hypergraph(random.Random(37), 8, 4, 3,
+                                    activity="table")
+    assert any(c.imag for c in exact_coefficients(g))
+    builds.clear()
+    est = PartitionEstimator(g)
+    for lam in (0.3, 0.9, 1.5, 1 / 0.3):
+        for eps in (0.1, 0.01):
+            ap = est.approximate(lam, eps)
+            assert rel_err(ap.value, exact_partition(g, lam)) <= eps
+    assert builds == [4]
 
 
 def test_twenty_vertex_polynomial_path_answers():
