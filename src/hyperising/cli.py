@@ -5,8 +5,10 @@ Exit codes: 0 success; 1 malformed input (file, schema, flag values);
 would be exceeded, Z overflows double precision, or a numerical
 certification failed).
 
-Every global flag is mirrored by an environment variable with the
-HYPERISING_ prefix (flags win), e.g. HYPERISING_M_CAP for --m-cap.
+Each command takes only the shared flags it reads (COMMAND --help lists
+them), each mirrored by an environment variable with the HYPERISING_
+prefix (flags win), e.g. HYPERISING_M_CAP for --m-cap; a command ignores
+the variables of flags it does not take.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -24,16 +27,16 @@ import numpy as np
 from . import __version__
 from .coefficients import elementary_to_coefficients
 from .errors import HyperIsingError, SchemaError
-from .hypergraph import Hyperedge, Hypergraph, IsingActivity, parse_hypergraph
+from .hypergraph import Hypergraph, parse_hypergraph
 from .instances import random_regular_graph
 from .leeyang import (
     check_activity_ranges,
-    circle_certificate,
     ising_ly_range,
     off_circle_witness,
     verify_zeros_on_circle,
 )
 from .oracle import (
+    check_vertex_cap,
     coefficient_zeros,
     cut_histogram,
     exact_coefficients,
@@ -99,34 +102,36 @@ def _load_input(path: str) -> tuple[Hypergraph, str]:
     return parse_hypergraph(doc), digest
 
 
-# global flags (flag, type, default, help); each defaults to None when
-# parsed, and _apply_env fills it from HYPERISING_<FLAG> or the default
-_GLOBAL_FLAGS = (
-    ("--threads", int, 1,
-     "echoed in sweep reports; every command runs on one thread"),
-    ("--m-cap", int, 24, "cap on the coefficient-table order"),
-    ("--memory-cap", int, 1 << 26, "cap on stored connected label sets"),
-    ("--oracle-cap", int, 24, "vertex cap for exact enumeration"),
-    ("--tol-circle", float, 1e-6, "allowed deviation of |root| from 1"),
-    ("--tol-residual", float, 1e-8,
-     "allowed |P(root)| relative to max |coefficient|"),
-    ("--seed", int, 0, "seed for generated instances"),
-)
+# shared flags, flag -> (type, default, help); each command declares
+# the ones it reads, each defaults to None when parsed, and _apply_env
+# fills it from HYPERISING_<FLAG> or the default
+_GLOBAL_FLAGS = {
+    "--threads": (int, 1, "echoed in the report; sweep runs on one thread"),
+    "--m-cap": (int, 24, "cap on the coefficient-table order"),
+    "--memory-cap": (int, 1 << 26, "cap on stored connected label sets"),
+    "--oracle-cap": (int, 24, "vertex cap for exact enumeration"),
+    "--tol-circle": (float, 1e-6, "allowed deviation of |root| from 1"),
+    "--tol-residual": (float, 1e-8,
+                       "allowed |P(root)| relative to max |coefficient|"),
+    "--seed": (int, 0, "seed for generated instances"),
+}
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    for flag, cast, _, text in _GLOBAL_FLAGS:
+def _shared_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        cast, _, text = _GLOBAL_FLAGS[flag]
         p.add_argument(flag, type=cast, help=text)
     p.add_argument("--verbose", "-v", action="store_true",
                    help="stage logging on stderr")
 
 
 def _apply_env(args) -> None:
-    """Fill every global flag not given on the command line from its
-    environment variable, so a flag wins even over a malformed one."""
-    for flag, cast, default, _ in _GLOBAL_FLAGS:
+    """Fill each shared flag of the parsed command that is not given on
+    the command line from its environment variable, so a flag wins even
+    over a malformed one."""
+    for flag, (cast, default, _) in _GLOBAL_FLAGS.items():
         dest = flag[2:].replace("-", "_")
-        if getattr(args, dest) is None:
+        if getattr(args, dest, default) is None:  # absent when not taken
             setattr(args, dest, _env(dest.upper(), cast, default))
 
 
@@ -140,39 +145,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--lambda", dest="lam", required=True, metavar="RE[,IM]")
     p.add_argument("--epsilon", type=float, required=True)
-    _common_flags(p)
+    _shared_flags(p, "--m-cap", "--memory-cap")
 
     p = sub.add_parser("exact", help="brute-force Z(lambda) and coefficients")
     p.add_argument("input")
     p.add_argument("--lambda", dest="lam", required=True, metavar="RE[,IM]")
     p.add_argument("--multivariate", metavar="RE[,IM];RE[,IM];...",
                    help="per-vertex activities (Ising edges only)")
-    _common_flags(p)
+    _shared_flags(p, "--oracle-cap")
 
     p = sub.add_parser("zeros", help="root locations of the exact polynomial")
     p.add_argument("input")
-    _common_flags(p)
+    _shared_flags(p, "--oracle-cap", "--tol-circle", "--tol-residual")
 
     p = sub.add_parser("check-range", help="per-edge activity range verdicts")
     p.add_argument("input")
-    _common_flags(p)
+    _shared_flags(p)
 
     p = sub.add_parser("enumerate", help="connected label sets up to size t")
     p.add_argument("input")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--emit-sets", action="store_true")
-    _common_flags(p)
+    _shared_flags(p, "--memory-cap")
 
     p = sub.add_parser("coeffs", help="power sums and polynomial coefficients")
     p.add_argument("input")
     p.add_argument("--m", type=int, required=True)
-    _common_flags(p)
+    _shared_flags(p, "--m-cap", "--memory-cap")
 
     p = sub.add_parser("tight-example",
                        help="off-circle zero witness for out-of-range beta")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--beta", type=float, required=True)
-    _common_flags(p)
+    _shared_flags(p, "--tol-circle", "--tol-residual")
 
     p = sub.add_parser("sweep", help="circle deviation over an activity grid")
     p.add_argument("input", nargs="?")
@@ -181,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-from", type=float, required=True)
     p.add_argument("--beta-to", type=float, required=True)
     p.add_argument("--steps", type=int, default=21)
-    _common_flags(p)
+    _shared_flags(p, "--oracle-cap", "--tol-circle", "--tol-residual",
+                  "--seed", "--threads")
 
     return parser
 
@@ -379,18 +385,14 @@ def _cmd_tight_example(args) -> dict:
                    {"witness": t1 - t0})
 
 
-def _with_uniform_beta(g: Hypergraph, beta: float) -> Hypergraph:
-    return Hypergraph(g.n, tuple(
-        Hyperedge(e.vertices, IsingActivity(beta)) for e in g.edges
-    ))
-
-
 def _cmd_sweep(args) -> dict:
     t0 = time.perf_counter()
     if (args.input is None) == (args.random_regular is None):
         raise CliInputError("provide an input file or --random-regular, not both")
     if args.steps < 1:
         raise CliInputError("--steps must be >= 1")
+    if not (math.isfinite(args.beta_from) and math.isfinite(args.beta_to)):
+        raise CliInputError("--beta-from and --beta-to must be finite")
     if args.input is not None:
         g, digest = _load_input(args.input)
     else:
@@ -398,23 +400,24 @@ def _cmd_sweep(args) -> dict:
             n, degree = (int(x) for x in args.random_regular.split(","))
         except ValueError as exc:
             raise CliInputError("--random-regular expects N,DEGREE") from exc
+        check_vertex_cap(n, args.oracle_cap)
         import random
 
         g = random_regular_graph(random.Random(args.seed), n, degree, 0.5)
         digest = None
     t1 = time.perf_counter()
     hist = cut_histogram(g, cap=args.oracle_cap)
+    # each row puts its beta on every edge: one range per edge size
+    ranges = [ising_ly_range(k) for k in {e.size for e in g.edges}]
     rows = []
     for beta in np.linspace(args.beta_from, args.beta_to, args.steps):
         report = coefficient_zeros(uniform_beta_coefficients(hist, beta),
                                    residual_tol=args.tol_residual)
-        cert = circle_certificate(_with_uniform_beta(g, beta), report,
-                                  circle_tol=args.tol_circle)
         rows.append({
             "beta": float(beta),
-            "in_range": cert.ranges.all_pass,
-            "max_circle_deviation": cert.report.max_circle_deviation,
-            "on_circle": cert.on_circle,
+            "in_range": all(r.contains(beta) for r in ranges),
+            "max_circle_deviation": report.max_circle_deviation,
+            "on_circle": report.max_circle_deviation <= args.tol_circle,
         })
     t2 = time.perf_counter()
     params = {"beta_from": args.beta_from, "beta_to": args.beta_to,

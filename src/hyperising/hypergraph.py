@@ -12,6 +12,7 @@ threads; the operations are pure functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -138,13 +139,24 @@ class Hypergraph:
         return all(e.is_symmetric() for e in self.edges)
 
 
+def _finite_real(x) -> bool:
+    """Whether a decoded JSON value is a number with a finite double value
+    (json accepts NaN and Infinity)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the double range
+        return False
+
+
 def _parse_activity(obj: Mapping, size: int) -> EdgeActivity:
     if ("beta" in obj) == ("phi" in obj):
         raise SchemaError("edge must carry exactly one of 'beta' or 'phi'")
     if "beta" in obj:
         beta = obj["beta"]
-        if isinstance(beta, bool) or not isinstance(beta, (int, float)):
-            raise SchemaError("'beta' must be a real number")
+        if not _finite_real(beta):
+            raise SchemaError("'beta' must be a finite real number")
         return IsingActivity(float(beta))
     phi = obj["phi"]
     if not isinstance(phi, Mapping) or len(phi) != 1 << size:
@@ -164,9 +176,9 @@ def _parse_activity(obj: Mapping, size: int) -> EdgeActivity:
         if (
             not isinstance(val, (list, tuple))
             or len(val) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in val)
+            or not all(_finite_real(x) for x in val)
         ):
-            raise SchemaError("spin value must be a [re, im] pair")
+            raise SchemaError("spin value must be a finite [re, im] pair")
         values[bits] = complex(float(val[0]), float(val[1]))
     return TableActivity(tuple(values))
 

@@ -21,11 +21,12 @@ the weaker symmetric range |beta| <= 1/(2^(k-1) - 1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RootConvergenceError
+from .errors import HyperIsingError, RootConvergenceError
 from .hypergraph import Hyperedge, Hypergraph, IsingActivity
 from .oracle import DEFAULT_VERTEX_CAP, ZeroReport, polynomial_roots, polyval, zero_report
 
@@ -59,12 +60,13 @@ def disk_product_real_extremes(k: int) -> tuple[float, float]:
     Writing each point as r e^{i theta} with |theta| <= pi/2 and
     0 <= r <= 2 cos theta, the constrained product of cosines is maximized
     at equal angles, giving neg_max = 2^(k-1) cos^(k-1)(pi/(k-1)) and
-    pos_max = 2^(k-1).
+    pos_max = 2^(k-1). Both are inf once they pass the double range
+    (k > 1024), so the range ends of `ising_ly_range` read as -0 and 0.
     """
     if k < 3:
         raise ValueError("the product range is defined for k >= 3")
-    neg = 2.0 ** (k - 1) * math.cos(math.pi / (k - 1)) ** (k - 1)
-    pos = 2.0 ** (k - 1)
+    pos = 2.0 ** (k - 1) if k <= sys.float_info.max_exp else math.inf
+    neg = pos * math.cos(math.pi / (k - 1)) ** (k - 1)
     return neg, pos
 
 
@@ -135,23 +137,17 @@ class CircleCertificate:
     certified: bool
 
 
-def circle_certificate(g: Hypergraph, report: ZeroReport,
-                       circle_tol: float = DEFAULT_CIRCLE_TOL) -> CircleCertificate:
-    """Combine the zeros of g's partition polynomial with g's range
-    verdicts."""
-    ranges = check_activity_ranges(g)
-    on_circle = report.max_circle_deviation <= circle_tol
-    return CircleCertificate(report, ranges, circle_tol, on_circle,
-                             ranges.all_pass and on_circle)
-
-
 def verify_zeros_on_circle(g: Hypergraph,
                            circle_tol: float = DEFAULT_CIRCLE_TOL,
                            residual_tol: float = DEFAULT_RESIDUAL_TOL,
                            cap: int = DEFAULT_VERTEX_CAP) -> CircleCertificate:
-    """Exact coefficients -> residual-checked roots -> circle deviation."""
+    """Exact coefficients -> residual-checked roots -> circle deviation,
+    combined with g's range verdicts."""
     report = zero_report(g, residual_tol=residual_tol, cap=cap)
-    return circle_certificate(g, report, circle_tol)
+    ranges = check_activity_ranges(g)
+    on_circle = report.max_circle_deviation <= circle_tol
+    return CircleCertificate(report, ranges, circle_tol, on_circle,
+                             ranges.all_pass and on_circle)
 
 
 def witness_polynomial(k: int, beta: float) -> np.ndarray:
@@ -206,10 +202,14 @@ def off_circle_witness(k: int, beta: float,
                        circle_tol: float = DEFAULT_CIRCLE_TOL,
                        residual_tol: float = DEFAULT_RESIDUAL_TOL) -> TightWitness:
     """Single-hyperedge witness that beta outside the tight range puts a
-    partition zero off the unit circle. Raises for in-range beta (no such
-    witness exists) and for beta = 1, where the polynomial degenerates."""
+    partition zero off the unit circle. Raises ValueError for a non-finite
+    or in-range beta (no such witness exists) and for beta = 1, where the
+    polynomial degenerates; refuses a witness of degree above 1024, whose
+    value at z = 1 passes the double range."""
     if k < 2:
         raise ValueError("edge size must be >= 2")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     if beta == 1:
         raise ValueError("beta = 1 is excluded from the witness family")
     rng = ising_ly_range(k)
@@ -219,6 +219,9 @@ def off_circle_witness(k: int, beta: float,
             " on the unit circle"
         )
     size = 2 if beta > 1 else k
+    if size > sys.float_info.max_exp:
+        raise HyperIsingError(
+            f"the witness polynomial of degree {size} overflows double precision")
     c = witness_polynomial(size, beta)
     roots = polynomial_roots(c, tol=residual_tol)
     deviations = np.abs(np.abs(roots) - 1.0)

@@ -35,10 +35,11 @@ _BLOCK_BITS = 20  # cap per-block scratch arrays at 2^20 entries
 LEADING_STRIP_REL = 1e-12
 
 
-def _check_cap(g: Hypergraph, cap: int) -> None:
-    if g.n > cap:
+def check_vertex_cap(n: int, cap: int) -> None:
+    """Refuse exact enumeration over 2^n states above the vertex cap."""
+    if n > cap:
         raise OracleCapError(
-            f"exact enumeration over 2^{g.n} states exceeds cap n<={cap}"
+            f"exact enumeration over 2^{n} states exceeds cap n<={cap}"
         )
 
 
@@ -82,7 +83,7 @@ def _edge_weights(g: Hypergraph, states: np.ndarray) -> np.ndarray:
 def exact_partition(g: Hypergraph, lam: complex,
                     cap: int = DEFAULT_VERTEX_CAP) -> complex:
     """Z(lam) = sum over subsets S of prod_e phi_e(S) * lam^|S|."""
-    _check_cap(g, cap)
+    check_vertex_cap(g.n, cap)
     total = 0.0 + 0.0j
     for states in _blocks(g.n):
         w = _edge_weights(g, states)
@@ -96,7 +97,7 @@ def exact_coefficients(g: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarr
 
     c_0 is forced to 1 by the all-minus normalization of every edge table.
     """
-    _check_cap(g, cap)
+    check_vertex_cap(g.n, cap)
     c = np.zeros(g.n + 1, dtype=np.complex128)
     for states in _blocks(g.n):
         w = _edge_weights(g, states)
@@ -110,7 +111,7 @@ def cut_histogram(g: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
     c edges, shape (n + 1, |E| + 1). Activities are ignored: every edge is
     read as Ising. H[i] == H[n - i], since a set and its complement cut the
     same edges."""
-    _check_cap(g, cap)
+    check_vertex_cap(g.n, cap)
     width = len(g.edges) + 1
     h = np.zeros((g.n + 1) * width, dtype=np.int64)
     for states in _blocks(g.n):
@@ -130,7 +131,7 @@ def uniform_beta_coefficients(hist: np.ndarray, beta: complex) -> np.ndarray:
 
 def exact_multivariate(g: Hypergraph, lams, cap: int = DEFAULT_VERTEX_CAP) -> complex:
     """Multivariate Ising value: sum_S prod_{e cut by S} beta_e prod_{i in S} lam_i."""
-    _check_cap(g, cap)
+    check_vertex_cap(g.n, cap)
     if any(not isinstance(e.activity, IsingActivity) for e in g.edges):
         raise SchemaError("multivariate evaluation is defined for Ising edges only")
     lams = [complex(x) for x in lams]

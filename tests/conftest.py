@@ -48,6 +48,13 @@ def cycle_graph(n, beta=0.5):
     return Hypergraph(n, tuple(sorted(edges, key=lambda e: e.vertices)))
 
 
+def with_uniform_beta(g: Hypergraph, beta: float) -> Hypergraph:
+    """g's vertices and edges with Ising activity beta on every edge."""
+    return Hypergraph(g.n, tuple(
+        Hyperedge(e.vertices, IsingActivity(beta)) for e in g.edges
+    ))
+
+
 def table_edge(verts, values):
     return Hyperedge(tuple(sorted(verts)), TableActivity(tuple(values)))
 

@@ -1,12 +1,18 @@
 import json
+import math
 import random
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hyperising import exact_partition, parse_hypergraph
+from hyperising import (check_activity_ranges, exact_partition,
+                        hypergraph_to_doc, ising_ly_range, parse_hypergraph)
+from hyperising import cli
 from hyperising.cli import main, parse_lambda
-from hyperising.instances import random_regular_graph
+from hyperising.instances import random_connected_hypergraph, random_regular_graph
+
+from conftest import with_uniform_beta
 
 K2_DOC = {"n": 2, "edges": [{"v": [0, 1], "beta": 0.5}]}
 PATH_DOC = {"n": 3, "edges": [{"v": [0, 1], "beta": 0.5},
@@ -84,6 +90,19 @@ def test_schema_error_exit_one(capsys, write_doc):
     path = write_doc({"n": 2, "edges": [{"v": [0, 0], "beta": 1.0}]})
     code, rep, err = run_cli(capsys, ["zeros", path])
     assert code == 1 and rep is None
+    # json reads NaN and Infinity; neither is an activity
+    phi = {"--": [1, 0], "+-": [0.5, 0], "-+": [0.5, 0], "++": [1, 0]}
+    for value in (math.nan, math.inf):
+        docs = [{"n": 2, "edges": [{"v": [0, 1], "beta": value}]},
+                {"n": 2, "edges": [{"v": [0, 1],
+                                    "phi": {**phi, "+-": [0.5, value]}}]}]
+        for doc in docs:
+            path = write_doc(doc)
+            for argv in (["approx", path, "--lambda", "0.3", "--epsilon", "0.1"],
+                         ["zeros", path], ["check-range", path]):
+                code, rep, err = run_cli(capsys, argv)
+                assert code == 1 and rep is None
+                assert err.startswith("error:") and "finite" in err
 
 
 def test_bad_lambda_exit_one(capsys, write_doc):
@@ -282,12 +301,15 @@ def test_sweep_high_beta_row_on_circle(capsys):
 
 
 def test_sweep_over_oracle_cap_refused_at_once(capsys):
-    start = time.perf_counter()
-    code, rep, err = run_cli(capsys, ["sweep", "--random-regular", "26,3",
-                                      "--beta-from", "0.1", "--beta-to", "0.9"])
-    assert time.perf_counter() - start < 1.0
-    assert code == 2 and rep is None
-    assert "2^26" in err
+    # the cap is checked before the host is generated
+    for shape, states in (("26,3", "2^26"), ("400000,3", "2^400000")):
+        start = time.perf_counter()
+        code, rep, err = run_cli(capsys, ["sweep", "--random-regular", shape,
+                                          "--beta-from", "0.1",
+                                          "--beta-to", "0.9"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and rep is None
+        assert states in err
 
 
 def test_zeros_on_circle_for_clustered_ising_zeros(capsys, write_doc):
@@ -339,3 +361,144 @@ def test_import_loads_no_test_dependency():
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["tight-example", "--k", "3", "--beta", "nan"],
+    ["tight-example", "--k", "3", "--beta=-inf"],
+    ["sweep", "--random-regular", "8,3", "--beta-from", "nan",
+     "--beta-to", "0.5"],
+    ["sweep", "--random-regular", "8,3", "--beta-from", "0.1",
+     "--beta-to", "inf"],
+])
+def test_non_finite_beta_flags_exit_one(capsys, argv):
+    code, rep, err = run_cli(capsys, argv)
+    assert code == 1 and rep is None
+    assert err.startswith("error:") and "finite" in err
+
+
+@pytest.mark.parametrize("k", [1025, 1100])
+def test_edge_sizes_past_double_range(capsys, write_doc, k):
+    # 2^(k-1) overflows a double here; the range ends underflow toward 0
+    for beta, passes in ((0.0, True), (0.5, False)):
+        path = write_doc({"n": k, "edges": [{"v": list(range(k)),
+                                             "beta": beta}]})
+        code, rep, _ = run_cli(capsys, ["check-range", path])
+        assert code == 0
+        assert rep["result"]["all_pass"] is passes
+    code, rep, err = run_cli(capsys, ["tight-example", "--k", str(k),
+                                      "--beta", "0.5"])
+    assert code == 2 and rep is None
+    assert err.startswith("refused:") and err.count("\n") == 1
+
+
+# the shared flags each command reads; each of the others is an input
+# error there, and its variable is ignored
+COMMAND_FLAGS = {
+    "approx": ("--m-cap", "--memory-cap"),
+    "exact": ("--oracle-cap",),
+    "zeros": ("--oracle-cap", "--tol-circle", "--tol-residual"),
+    "check-range": (),
+    "enumerate": ("--memory-cap",),
+    "coeffs": ("--m-cap", "--memory-cap"),
+    "tight-example": ("--tol-circle", "--tol-residual"),
+    "sweep": ("--oracle-cap", "--tol-circle", "--tol-residual", "--seed",
+              "--threads"),
+}
+# a value each command runs with; twice it is a second one
+FLAG_VALUES = {"--threads": 3, "--m-cap": 7, "--memory-cap": 1000,
+               "--oracle-cap": 10, "--tol-circle": 1e-3,
+               "--tol-residual": 1e-4, "--seed": 4}
+
+
+def command_argv(command, path):
+    return {
+        "approx": ["approx", path, "--lambda", "0.3", "--epsilon", "0.1"],
+        "exact": ["exact", path, "--lambda", "0.3"],
+        "zeros": ["zeros", path],
+        "check-range": ["check-range", path],
+        "enumerate": ["enumerate", path, "--t", "2"],
+        "coeffs": ["coeffs", path, "--m", "2"],
+        "tight-example": ["tight-example", "--k", "3", "--beta", "-0.4"],
+        "sweep": ["sweep", path, "--beta-from", "0.1", "--beta-to", "0.5",
+                  "--steps", "2"],
+    }[command]
+
+
+def env_name(flag):
+    return "HYPERISING_" + flag[2:].replace("-", "_").upper()
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_command_takes_only_the_flags_it_reads(capsys, write_doc, monkeypatch,
+                                               command):
+    argv = command_argv(command, write_doc(K2_DOC))
+    own = COMMAND_FLAGS[command]
+    foreign = [flag for flag in FLAG_VALUES if flag not in own]
+    assert sum(map(len, COMMAND_FLAGS.values())) == 16
+    for flag in foreign:
+        code, rep, err = run_cli(capsys, argv + [flag, str(FLAG_VALUES[flag])])
+        assert code == 1 and rep is None
+        assert err.startswith("error:") and flag in err
+    for flag in foreign:
+        monkeypatch.setenv(env_name(flag), "abc")
+    code, rep, _ = run_cli(capsys, argv + ["--verbose"])
+    assert code == 0 and rep["command"] == command
+
+    for flag in own:
+        monkeypatch.setenv(env_name(flag), "abc")
+        code, rep, err = run_cli(capsys, argv)
+        assert code == 1 and rep is None and env_name(flag) in err
+        monkeypatch.delenv(env_name(flag))
+
+    # each own flag and its variable reach the handler; the flag wins
+    seen = []
+
+    def handler(args):
+        seen.append(vars(args))
+        return {"timings": {}}
+
+    monkeypatch.setitem(cli._HANDLERS, command, handler)
+    for flag in own:
+        dest = flag[2:].replace("-", "_")
+        value = FLAG_VALUES[flag]
+        monkeypatch.setenv(env_name(flag), str(value))
+        assert run_cli(capsys, argv)[0] == 0
+        assert seen[-1][dest] == value
+        assert run_cli(capsys, argv + [flag, str(2 * value)])[0] == 0
+        assert seen[-1][dest] == 2 * value
+
+
+RANGE_ENDS = [end for k in (2, 3, 4)
+              for end in (ising_ly_range(k).lo, ising_ly_range(k).hi)]
+betas = st.one_of(st.floats(-1.2, 1.2), st.sampled_from(RANGE_ENDS))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.one_of(st.tuples(st.just("hypergraph"), st.integers(2, 9)),
+                       st.tuples(st.just("regular"),
+                                 st.sampled_from([4, 6, 8, 10]))),
+       beta_from=betas, beta_to=betas, steps=st.integers(1, 5))
+def test_sweep_in_range_matches_range_check(capsys, tmp_path, seed, shape,
+                                            beta_from, beta_to, steps):
+    kind, n = shape
+    # no residual check: near beta = -1 the roots of a 9-vertex host can
+    # miss 1e-8, and the rows are read for their range verdicts only
+    grid = [f"--beta-from={beta_from!r}", f"--beta-to={beta_to!r}",
+            "--steps", str(steps), "--tol-residual", "1e300"]
+    if kind == "regular":
+        g = random_regular_graph(random.Random(seed), n, 3, 0.5)
+        argv = ["sweep", "--random-regular", f"{n},3", "--seed", str(seed)]
+    else:
+        g = random_connected_hypergraph(random.Random(seed), n, 4, 4,
+                                        activity="mixed")
+        path = tmp_path / "host.json"
+        path.write_text(json.dumps(hypergraph_to_doc(g)))
+        argv = ["sweep", str(path)]
+    code, rep, _ = run_cli(capsys, argv + grid)
+    assert code == 0
+    for row in rep["result"]["rows"]:
+        want = check_activity_ranges(with_uniform_beta(g, row["beta"]))
+        assert row["in_range"] is want.all_pass

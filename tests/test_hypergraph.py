@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import math
 import random
 
 import pytest
@@ -50,6 +51,14 @@ def test_parse_rejects_unnormalized_table():
     {"n": 2, "edges": [{"v": [0, 1], "beta": True}]},
     {"n": 2, "edges": [{"v": [0, 1], "phi": {"--": [1, 0]}}]},  # missing keys
     {"n": 2, "extra": 1, "edges": []},
+    # json reads NaN and Infinity
+    {"n": 2, "edges": [{"v": [0, 1], "beta": math.nan}]},
+    {"n": 2, "edges": [{"v": [0, 1], "beta": -math.inf}]},
+    {"n": 2, "edges": [{"v": [0, 1], "beta": 10 ** 400}]},
+    {"n": 2, "edges": [{"v": [0, 1], "phi": {
+        "--": [1, 0], "+-": [math.nan, 0], "-+": [0.5, 0], "++": [1, 0]}}]},
+    {"n": 2, "edges": [{"v": [0, 1], "phi": {
+        "--": [1, 0], "+-": [0.5, 0], "-+": [0.5, math.inf], "++": [1, 0]}}]},
 ])
 def test_parse_rejects_bad_documents(doc):
     with pytest.raises(SchemaError):

@@ -91,6 +91,26 @@ def test_disk_product_extremes():
         disk_product_real_extremes(2)
 
 
+@pytest.mark.parametrize("k", [1025, 1100])
+def test_range_past_double_range(k):
+    # 2^(k-1) passes the double range: the extremes are inf, and the range
+    # ends, below 2^-1023 in magnitude, read as -0 and 0
+    assert disk_product_real_extremes(k) == (math.inf, math.inf)
+    rng = ising_ly_range(k)
+    assert (rng.lo, rng.hi) == (0.0, 0.0)
+    assert math.copysign(1.0, rng.lo) == -1.0
+    assert rng.contains(0.0)
+    assert not rng.contains(1e-300) and not rng.contains(-1e-300)
+    with pytest.raises(HyperIsingError, match="overflows double precision"):
+        off_circle_witness(k, 0.5)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_witness_rejects_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="finite"):
+        off_circle_witness(3, beta)
+
+
 def test_range_extreme_consistency_identities():
     for k in range(3, 13):
         neg, pos = disk_product_real_extremes(k)

@@ -16,11 +16,11 @@ from hyperising import (
     polynomial_roots,
     zero_report,
 )
-from hyperising.cli import _with_uniform_beta
 from hyperising.instances import random_connected_hypergraph
 from hyperising.oracle import cut_histogram, polyval, uniform_beta_coefficients
 
-from conftest import edgeless, k2, path_graph, single_edge, triangle
+from conftest import (edgeless, k2, path_graph, single_edge, triangle,
+                      with_uniform_beta)
 
 
 def test_edgeless_partition_is_binomial():
@@ -98,7 +98,7 @@ def test_cut_histogram_matches_oracle(n, seed, activity):
     assert np.array_equal(hist, hist[::-1])
     for beta in (-0.5, 0.15, 0.8, 0.9):
         got = uniform_beta_coefficients(hist, beta)
-        want = exact_coefficients(_with_uniform_beta(g, beta))
+        want = exact_coefficients(with_uniform_beta(g, beta))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
