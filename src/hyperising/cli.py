@@ -14,6 +14,7 @@ the variables of flags it does not take.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -71,6 +72,15 @@ def _env(name: str, cast, fallback):
         raise CliInputError(f"bad {ENV_PREFIX}{name}={raw!r}: {exc}") from exc
 
 
+def tolerance(text: str) -> float:
+    """A finite tolerance >= 0: NaN would switch its check off silently,
+    and a negative one fails every row."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, not {text!r}")
+    return value
+
+
 def parse_lambda(text: str) -> complex:
     """Accept "re" or "re,im" with scientific notation."""
     parts = text.split(",")
@@ -110,8 +120,8 @@ _GLOBAL_FLAGS = {
     "--m-cap": (int, 24, "cap on the coefficient-table order"),
     "--memory-cap": (int, 1 << 26, "cap on stored connected label sets"),
     "--oracle-cap": (int, 24, "vertex cap for exact enumeration"),
-    "--tol-circle": (float, 1e-6, "allowed deviation of |root| from 1"),
-    "--tol-residual": (float, 1e-8,
+    "--tol-circle": (tolerance, 1e-6, "allowed deviation of |root| from 1"),
+    "--tol-residual": (tolerance, 1e-8,
                        "allowed |P(root)| relative to max |coefficient|"),
     "--seed": (int, 0, "seed for generated instances"),
 }
@@ -135,7 +145,10 @@ def _apply_env(args) -> None:
             setattr(args, dest, _env(dest.upper(), cast, default))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: it holds no per-call state, since
+    `_apply_env` reads the HYPERISING_ variables after each parse."""
     parser = _Parser(prog="hyperising", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -32,15 +32,31 @@ the host size never enters the mask width:
   choice S1 = d ∪ Y of size i = |d| + r has signed weight
   (-1)^(i-1) w(S1) = -E[S1], so the row coefficient is -G_r[d], standing
   for binom(|S2|, r) pairs;
-* the family index of every subset of L, read off the index tables of
-  the sets L \\ {v} one size down; it marks which S2 are connected.
+* the class of every subset of L (see below), read off the index tables
+  of the sets L \\ {v} one size down; it marks which S2 are connected.
 
 A row is needed at order t once |S1| + |S2| = |L| + r <= t. Every S2
 other than L is a smaller set, whose coefficients an earlier batch has
 finished, and L itself is read only at lower orders, so each chunk runs
 all of its orders k..m as soon as its rows exist and then drops them.
-The finished tables are value arrays aligned with the rows of the
-family's size arrays, smaller sets first, and p_t is their correctly
+
+a_t(L) depends only on the structure of L: the spin tables of the edges
+meeting L and where L's vertices sit on them (vertices outside L are
+"-"). So each size batch is split into structural classes, and the
+lattices and rows run for one representative per class, the first
+member in family order; every other member takes its class's values.
+A set's key lists, per edge meeting it, the edge's table id and its
+trace in the set's local order (from colour refinement, ties broken by
+vertex label): the local rank of the vertex at each position of the
+edge. Tables that do not change under a permutation of the edge's
+positions, such as every Ising table, read only how many positions are
+"+", so their traces enter as multisets; keeping positions there would
+split a 3-regular host's classes about fiftyfold. A representative
+reads each subset S2 at the value of S2's own class, so no map between
+local orders is needed. When no two edges share a table id, a key pins
+down the edges its set meets, so keying is skipped and every set is its
+own class. The finished tables are value arrays aligned with the rows of
+the family's size arrays, smaller sets first, and p_t is their correctly
 rounded sum.
 
 Elementary symmetric functions of the reciprocal roots follow from the
@@ -66,6 +82,8 @@ from .subgraphs import (DEFAULT_SET_CAP, ConnectedFamily, _edge_arrays,
 # local subsets per chunk of same-size sets: bounds the lattices, ranked
 # sums, pair rows and gathers held at once
 _LATTICE_CELLS = 1 << 17
+# (set, vertex, incident edge) cells per chunk of structure keys
+_KEY_CELLS = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,11 +140,157 @@ def _edge_products(sets: np.ndarray, inc: np.ndarray, ev: np.ndarray,
     return e.T
 
 
-def _subset_index(idx: np.ndarray, offset: int, parents: np.ndarray,
+def _keying(g: Hypergraph, inc: np.ndarray, ev: np.ndarray,
+            depth: int) -> tuple | None:
+    """(inc_pos, tid, order_free) for `_structure_classes`, or None when
+    every set is its own class: when no two edges share a table id (equal
+    keys would then put each edge position on the same host vertex, so
+    only sets of isolated vertices could merge) or a slot code would not
+    fit in int64.
+
+    tid[e] is shared exactly by the edges of one size with equal
+    activities (the dummy edge has its own); order_free[id] says whether
+    that table is unchanged by every permutation of the edge's positions
+    (true of every Ising edge), i.e. reads only the number of "+"
+    positions; inc_pos[v, d] is the position of v in its edge inc[v, d]
+    (0 for padding).
+    """
+    ids: dict = {}
+    tid = np.asarray([ids.setdefault((e.size, e.activity), len(ids))
+                      for e in g.edges] + [len(ids)])
+    if len(ids) == len(g.edges):
+        return None
+    inc_pos = (ev[inc] == np.arange(g.n)[:, None, None]).argmax(axis=2)
+    if len(tid) * _trace_codes(depth, inc_pos) >= 1 << 63:
+        return None
+    order_free = [True] * (len(ids) + 1)
+    for (size, act), i in ids.items():
+        table = np.asarray(act.table(size))
+        plus = np.bitwise_count(np.arange(1 << size))
+        order_free[i] = all(len(set(table[plus == c].tolist())) == 1
+                            for c in range(size + 1))
+    return inc_pos, tid, np.asarray(order_free)
+
+
+def _trace_codes(k: int, inc_pos: np.ndarray) -> int:
+    """The number of trace codes of an edge slot of a k-set."""
+    return max(1 << k, (k + 1) ** (int(inc_pos.max(initial=0)) + 1))
+
+
+_MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9),
+        np.uint64(0x94D049BB133111EB))
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """One splitmix64 step, elementwise on uint64, into a new array (with
+    no fixed point at 0, so an all-zero start still spreads)."""
+    x = x + _MIX[0]
+    x ^= x >> 30
+    x *= _MIX[1]
+    x ^= x >> 27
+    x *= _MIX[2]
+    x ^= x >> 31
+    return x
+
+
+def _structure_keys(sets: np.ndarray, inc: np.ndarray, inc_pos: np.ndarray,
+                    tid: np.ndarray, order_free: np.ndarray) -> np.ndarray:
+    """One row per set that fixes its coefficients: equal rows mean equal
+    a_t. inc_pos[v, d] is the position of vertex v in its edge inc[v, d].
+
+    The row holds, per edge meeting the set, the edge's table id and its
+    trace: the ranks, in the set's local order, of the set's vertices on
+    the edge, each at its position in the edge, or as a multiset when
+    the table is order-free. Vertices outside the set are left out: the
+    table id fixes the edge size. Sorting the slots makes the row the
+    multiset of slots. The local order sorts the vertices by colour, and
+    breaks ties by vertex label. A vertex's colour hashes the table ids,
+    positions (of tables that are not order-free) and colours of the
+    edges it lies on, refined three times after the first. A weak
+    order costs classes, never correctness: whatever the order, a row
+    determines every edge product and every connected subset under it.
+    """
+    nsets, k = sets.shape
+    degree = inc.shape[1]
+    # the (vertex, edge) incidences of the sets, d * nsets * k + j * k + i
+    # for the d-th edge of the i-th vertex of set j; gather lists them
+    # set by set and by edge within a set, each edge slot one segment
+    # (the dummy edge's incidences make a slot too, a structural one)
+    edges = inc[sets]
+    by_edge = np.argsort(edges.reshape(nsets, -1), axis=1, kind="stable")
+    gather = ((by_edge % degree) * nsets * k + by_edge // degree
+              + np.arange(nsets)[:, None] * k).ravel()
+    edges = edges.transpose(2, 0, 1).ravel()
+    new = np.ones(len(gather), dtype=bool)
+    new[1:] = edges[gather[1:]] != edges[gather[:-1]]
+    new[::k * degree] = True
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], len(gather)) - 1
+    seg = np.empty(len(gather), dtype=np.int64)
+    seg[gather] = np.cumsum(new) - 1
+    place = inc_pos[sets].transpose(2, 0, 1).ravel()
+    table = tid[edges]
+    free = order_free[table]
+    # an odd multiplier per edge position binds a colour to its position
+    # on the edges whose table reads positions
+    salt = np.where(free, np.uint64(1),
+                    _mix(place.astype(np.uint64)) | np.uint64(1))
+    edge_salt = _mix(table[gather[starts]].astype(np.uint64))
+    colour = np.zeros(nsets * k, dtype=np.uint64)
+    for _ in range(4):
+        seen = np.cumsum((np.tile(_mix(colour), degree) * salt)[gather])
+        edge = _mix(edge_salt + np.diff(seen[ends], prepend=np.uint64(0)))
+        back = (edge[seg] * salt).reshape(degree, -1).sum(axis=0)
+        colour = _mix(colour + back)
+    order = np.argsort(colour.reshape(nsets, k), axis=1, kind="stable")
+    rank = np.empty((nsets, k), dtype=np.int64)
+    np.put_along_axis(rank, order, np.arange(k), axis=1)
+    rank = np.tile(rank.ravel(), degree)
+    # an order-free trace is the bit mask of its ranks, any other one
+    # has digit rank + 1 at each position in base k + 1 (0 is "outside");
+    # the dummy slot's is empty
+    trace = np.where(free, 1 << rank, (rank + 1) * (k + 1) ** place)
+    trace[edges == len(tid) - 1] = 0
+    trace = np.cumsum(trace[gather])
+    code = (table[gather[starts]] * _trace_codes(k, inc_pos)
+            + np.diff(trace[ends], prepend=0))
+    row = starts // (k * degree)
+    count = np.bincount(row, minlength=nsets)
+    slot = np.arange(len(starts)) - (np.cumsum(count) - count)[row]
+    keys = np.full((nsets, int(count.max())), -1, dtype=np.int64)
+    keys[row, slot] = code
+    keys.sort(axis=1)
+    return keys
+
+
+def _structure_classes(sets: np.ndarray, inc: np.ndarray,
+                       inc_pos: np.ndarray, tid: np.ndarray,
+                       order_free: np.ndarray) -> tuple:
+    """(cls, reps): the class of each set, numbered in the order of its
+    first member, and the row of each class's first member, ascending.
+    Sets share a class when their `_structure_keys` rows are equal."""
+    nsets, k = sets.shape
+    step = max(1, _KEY_CELLS // (k * inc.shape[1]))
+    keys = [_structure_keys(sets[lo:lo + step], inc, inc_pos, tid,
+                            order_free)
+            for lo in range(0, nsets, step)]
+    width = max(part.shape[1] for part in keys)
+    keys = np.concatenate([np.pad(part, ((0, 0), (width - part.shape[1], 0)),
+                                  constant_values=-1) for part in keys])
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+    _, first, inv = np.unique(rows.ravel(), return_index=True,
+                              return_inverse=True)
+    by_first = np.argsort(first)
+    renum = np.empty_like(by_first)
+    renum[by_first] = np.arange(len(first))
+    return renum[inv], first[by_first]
+
+
+def _subset_index(idx: np.ndarray, own: np.ndarray, parents: np.ndarray,
                   prev: np.ndarray) -> None:
-    """Fill idx[j, x], preset to -1, with the family index of the subset
-    at local mask x of the j-th set, leaving -1 where that subset is empty
-    or disconnected; the j-th set itself has index offset + j.
+    """Fill idx[j, x], preset to -1, with the class of the subset at local
+    mask x of the j-th set, leaving -1 where that subset is empty or
+    disconnected; the j-th set itself has class own[j].
 
     prev is the same table one size down, and parents[j, v] is the row of
     prev for the set minus its v-th vertex. When that set is disconnected
@@ -136,7 +300,7 @@ def _subset_index(idx: np.ndarray, offset: int, parents: np.ndarray,
     lists it; every row lists a disconnected x as -1.
     """
     nsets, k = parents.shape
-    idx[:, -1] = offset + np.arange(nsets)
+    idx[:, -1] = own
     for v in range(k):
         lacking = idx.reshape(nsets, -1, 2, 1 << v)[:, :, 0, :]
         np.maximum(lacking, prev[parents[:, v]].reshape(lacking.shape),
@@ -157,7 +321,7 @@ def _ranked_superset_sums(e: np.ndarray, r_max: int) -> np.ndarray:
 
 
 def _size_rows(idx: np.ndarray, e: np.ndarray, k: int, m: int) -> tuple:
-    """Rows (L, S2 index, i, coeff, multiplicity, r) of a chunk of sets of
+    """Rows (L, S2 class, i, coeff, multiplicity, r) of a chunk of sets of
     size k, with L the set's row in the chunk, in ascending r = |Y|; a
     row is needed from order k + r on."""
     full = (1 << k) - 1
@@ -198,7 +362,11 @@ def compute_coefficient_tables(
         raise MemoryCapError(f"{ends[-1]} label sets overflow int32 indices")
 
     inc, ev, tab = _edge_arrays(g)
-    values = np.zeros((m + 1, ends[-1]), dtype=np.complex128)
+    keying = _keying(g, inc, ev, depth)
+    # values[t, c]: the order-t coefficient of the sets of class c; cls
+    # maps each family row to its class
+    cls = np.empty(ends[-1], dtype=np.int64)
+    values = np.zeros((m + 1, 0), dtype=np.complex128)
     scan_max = [0] * (m + 1)
     # the empty set is no label set: its index table is only the all -1
     # row that every index table ends in for parents that are not sets
@@ -207,17 +375,30 @@ def compute_coefficient_tables(
         sets = fam.sets_of_size(k)
         if not len(sets):
             break
-        parents = fam.parents[k - 1]
         offset = ends[k - 1] - len(sets)
+        if keying is None:
+            batch_cls = reps = np.arange(len(sets))
+        else:
+            batch_cls, reps = _structure_classes(sets, inc, *keying)
+        first = values.shape[1]
+        cls[offset:ends[k - 1]] = first + batch_cls
+        values = np.concatenate(
+            [values, np.zeros((m + 1, len(reps)), dtype=np.complex128)],
+            axis=1)
         prev = idx
         idx = np.full((len(sets) + 1, 1 << k), -1, dtype=np.int32)
         step = max(1, _LATTICE_CELLS >> k)
         for lo in range(0, len(sets), step):
             hi = min(lo + step, len(sets))
-            e = _edge_products(sets[lo:hi], inc, ev, tab)
-            _subset_index(idx[lo:hi], offset + lo, parents[lo:hi], prev)
+            _subset_index(idx[lo:hi], cls[offset + lo:offset + hi],
+                          fam.parents[k - 1][lo:hi], prev)
+        for lo in range(0, len(reps), step):
+            hi = min(lo + step, len(reps))
+            # with every set its own class, rows lo..hi are the chunk
+            pick = slice(lo, hi) if len(reps) == len(sets) else reps[lo:hi]
+            e = _edge_products(sets[pick], inc, ev, tab)
             row_l, row_c, row_i, row_coef, row_mult, row_r = _size_rows(
-                idx[lo:hi], e, k, m)
+                idx[pick], e, k, m)
             # every S2 but L itself is a smaller set, finished in an
             # earlier batch; L is read only at lower orders of this loop
             stops = np.searchsorted(row_r, np.arange(m - k + 1), "right")
@@ -242,13 +423,16 @@ def compute_coefficient_tables(
                 if t == k:
                     # (-1)^(t-1) t w(L) with w(L) = (-1)^k E[L]
                     acc -= k * e[:, -1]
-                values[t, offset + lo:offset + hi] = acc
+                values[t, first + lo:first + hi] = acc
 
-    values.flags.writeable = False
-    # sets come in ascending size, so those of size <= t are a prefix
-    tables = tuple(values[t, :ends[min(t, depth) - 1]]
-                   for t in range(1, m + 1))
-    return CoefficientTable(m, fam, tables, tuple(scan_max[1:]))
+    # each set takes its class's value; sets come in ascending size, so
+    # those of size <= t are a prefix
+    tables = []
+    for t in range(1, m + 1):
+        table = values[t, cls[:ends[min(t, depth) - 1]]]
+        table.flags.writeable = False
+        tables.append(table)
+    return CoefficientTable(m, fam, tuple(tables), tuple(scan_max[1:]))
 
 
 def power_sums(ctable: CoefficientTable) -> list[complex]:

@@ -502,3 +502,38 @@ def test_sweep_in_range_matches_range_check(capsys, tmp_path, seed, shape,
     for row in rep["result"]["rows"]:
         want = check_activity_ranges(with_uniform_beta(g, row["beta"]))
         assert row["in_range"] is want.all_pass
+
+
+@pytest.mark.parametrize("command", ["zeros", "tight-example", "sweep"])
+@pytest.mark.parametrize("flag", ["--tol-circle", "--tol-residual"])
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_tolerance_not_finite_or_negative_exit_one(capsys, write_doc,
+                                                   monkeypatch, command, flag,
+                                                   value):
+    # a NaN tolerance switched its check off (zeros certified with any
+    # residual), and NaN or a negative one read every row off the circle
+    argv = command_argv(command, write_doc(K2_DOC))
+    code, rep, err = run_cli(capsys, argv + [flag, value])
+    assert code == 1 and rep is None
+    assert err.startswith("error:") and flag in err
+    monkeypatch.setenv(env_name(flag), value)
+    code, rep, err = run_cli(capsys, argv)
+    assert code == 1 and rep is None and env_name(flag) in err
+    assert run_cli(capsys, argv + [flag, str(FLAG_VALUES[flag])])[0] == 0
+
+
+def test_parser_built_once_reads_variables_per_call(capsys, write_doc,
+                                                    monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+
+    def handler(args):
+        seen.append(args.m_cap)
+        return {"timings": {}}
+
+    monkeypatch.setitem(cli._HANDLERS, "approx", handler)
+    argv = command_argv("approx", write_doc(K2_DOC))
+    for cap in ("3", "5"):
+        monkeypatch.setenv("HYPERISING_M_CAP", cap)
+        assert run_cli(capsys, argv)[0] == 0
+    assert seen == [3, 5]

@@ -24,12 +24,13 @@ from hyperising import (
     power_sums_to_elementary,
 )
 from hyperising import coefficients
-from hyperising.instances import random_connected_hypergraph, random_regular_graph
+from hyperising.instances import (random_connected_hypergraph,
+                                  random_regular_graph, random_symmetric_table)
 from hyperising.subgraphs import _edge_arrays
 
 from conftest import (brute_connected_sets, edgeless, ising_edge, k2,
                       max_coeff_rel_err, set_weight, single_edge, table_dicts,
-                      triangle)
+                      triangle, with_uniform_beta)
 
 
 def test_insect_weight_examples():
@@ -258,15 +259,65 @@ def test_pair_scan_within_rail():
         assert scanned <= 4 ** t
 
 
+def shared_table_host(g: Hypergraph, rng: random.Random) -> Hypergraph:
+    """g's edges, every edge of one size carrying the same random table
+    object; these tables read the positions of the edge."""
+    tables = {k: random_symmetric_table(rng, k)
+              for k in {e.size for e in g.edges}}
+    return Hypergraph(g.n, tuple(Hyperedge(e.vertices, tables[e.size])
+                                 for e in g.edges))
+
+
+def literal_recurrence_hosts():
+    """(kind, host): mixed hosts, whose edges all differ; uniform-beta
+    Ising hosts; and hosts whose same-size edges share one table."""
+    rng = random.Random(23)
+    for n in range(2, 8):
+        yield "mixed", random_connected_hypergraph(rng, n, 4, 4,
+                                                   activity="mixed")
+    rng = random.Random(29)
+    for n in range(3, 8):
+        yield "ising", with_uniform_beta(random_connected_hypergraph(
+            rng, n, 4, 4), rng.uniform(-0.5, 0.9))
+    yield "ising", random_regular_graph(rng, 6, 3, 0.3)
+    for n in range(3, 8):
+        yield "table", shared_table_host(random_connected_hypergraph(
+            rng, n, 4, 4), rng)
+    # regular hosts and a chain of 3-edges, where sets with the same edge
+    # positions recur
+    yield "table", shared_table_host(random_regular_graph(rng, 6, 3, 0), rng)
+    yield "table", shared_table_host(random_regular_graph(rng, 7, 4, 0), rng)
+    yield "table", shared_table_host(Hypergraph(7, (
+        ising_edge((0, 1, 2), 0), ising_edge((2, 3, 4), 0),
+        ising_edge((4, 5, 6), 0))), rng)
+
+
+def class_counts(g: Hypergraph, t: int) -> list[tuple[int, int]]:
+    """(sets, classes) of each size up to t."""
+    inc, ev, _ = _edge_arrays(g)
+    keying = coefficients._keying(g, inc, ev, t)
+    out = []
+    for sets in enumerate_connected(g, t).by_size:
+        if len(sets):
+            reps = (sets if keying is None else coefficients.
+                    _structure_classes(sets, inc, *keying)[1])
+            out.append((len(sets), len(reps)))
+    return out
+
+
 def test_tables_and_pair_scan_match_literal_recurrence():
     # the recurrence of the coefficients module docstring, summed pair by
     # pair over every subset with weights read off the host; pair_scan_max
     # is the largest number of pairs any connected L has at order t. The
     # tables build each w from the edges meeting the set L alone, so this
-    # also checks that a subset of L sees the same weight through them
-    rng = random.Random(23)
-    for n in range(2, 8):
-        g = random_connected_hypergraph(rng, n, 4, 4, activity="mixed")
+    # also checks that a subset of L sees the same weight through them,
+    # and, on the hosts with shared activities, where sets share a class,
+    # that each member takes its own coefficients from the representative
+    merged = set()
+    for kind, g in literal_recurrence_hosts():
+        n = g.n
+        if any(c < s for s, c in class_counts(g, n)):
+            merged.add(kind)
         w = {mask: set_weight(g, mask) for mask in range(1, 1 << n)}
         connected = sorted(sum(1 << v for v in s)
                            for sets in brute_connected_sets(g, n).values()
@@ -300,19 +351,38 @@ def test_tables_and_pair_scan_match_literal_recurrence():
             for (t, lmask), want in a.items():
                 got = tabs[t - 1][lmask]
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    # keying runs only where tables are shared, and merges sets there
+    assert merged == {"ising", "table"}
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_regular_host_classes(seed):
+    # 3-regular uniform-beta hosts: all vertices and all edges are alike,
+    # and refinement brings 5000-5600 sets of size 7 down to 50-58
+    # classes (with Ising traces kept by position: thousands)
+    counts = class_counts(random_regular_graph(random.Random(seed), 50, 3,
+                                               0.2), 7)
+    assert counts[:2] == [(50, 1), (75, 1)]
+    assert sum(c for _, c in counts) <= 120
 
 
 def test_chunking_does_not_change_tables(monkeypatch):
     # with 64 lattice cells per chunk every size batch of these hosts
     # spans many chunks, so coefficients of one batch read back rows of
-    # another chunk's sets and pair_scan_max folds over chunks
+    # another chunk's sets and pair_scan_max folds over chunks; with 16
+    # key cells each set is keyed alone, and the classes stay the same
     rng = random.Random(41)
     cases = []
     for n in range(2, 11):
         g = random_connected_hypergraph(rng, n, 4, 4, activity="mixed")
         for m in (n, n + 2):
             cases.append((g, m, compute_coefficient_tables(g, m)))
+    shared = [g for kind, g in literal_recurrence_hosts() if kind != "mixed"]
+    classes = [class_counts(g, g.n) for g in shared]
+    cases += [(g, g.n, compute_coefficient_tables(g, g.n)) for g in shared]
     monkeypatch.setattr(coefficients, "_LATTICE_CELLS", 1 << 6)
+    monkeypatch.setattr(coefficients, "_KEY_CELLS", 1 << 4)
+    assert [class_counts(g, g.n) for g in shared] == classes
     for g, m, want in cases:
         got = compute_coefficient_tables(g, m)
         assert got.pair_scan_max == want.pair_scan_max
@@ -368,12 +438,62 @@ def test_edge_products_match_set_weights(case):
     assert np.array_equal(split, e)
 
 
+def relabelled(g: Hypergraph, perm: list[int]) -> Hypergraph:
+    """g with vertex v renamed perm[v]; each spin table follows its
+    vertices into their new order on the edge."""
+    edges = []
+    for e in g.edges:
+        order = sorted(range(e.size), key=lambda p: perm[e.vertices[p]])
+        act = e.activity
+        if isinstance(act, TableActivity):
+            act = TableActivity(tuple(
+                act.values[sum(1 << order[q] for q in range(e.size)
+                               if b >> q & 1)]
+                for b in range(1 << e.size)))
+        edges.append(Hyperedge(tuple(perm[e.vertices[p]] for p in order), act))
+    return Hypergraph(g.n, tuple(edges))
+
+
+@st.composite
+def shared_activity_hosts(draw):
+    """A 3-regular host with uniform beta, or a random host with edges of
+    size 2 to 4 whose same-size edges share one Ising or table activity;
+    and a permutation of its vertices."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([4, 6, 8, 10]))
+        g = random_regular_graph(rng, n, 3, draw(st.floats(-0.9, 0.9)))
+    else:
+        n = draw(st.integers(3, 9))
+        shared = {k: IsingActivity(rng.uniform(-0.9, 0.9))
+                  if draw(st.booleans()) else random_symmetric_table(rng, k)
+                  for k in (2, 3, 4)}
+        g = Hypergraph(n, tuple(Hyperedge(e.vertices, shared[e.size])
+                                for e in random_connected_hypergraph(
+                                    rng, n, 4, 4).edges))
+    return g, draw(st.permutations(range(n)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(shared_activity_hosts())
+def test_relabelling_moves_power_sums_by_rounding_only(case):
+    # a relabelling changes which set represents each class and the local
+    # orders, so only the rounding of p_t may move
+    g, perm = case
+    m = min(g.n, 8)
+    p = power_sums(compute_coefficient_tables(g, m))
+    q = power_sums(compute_coefficient_tables(relabelled(g, perm), m))
+    for a, b in zip(p, q):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+
 def test_table_build_memory_stays_bounded():
     # the pair rows of a chunk are dropped once its orders are done; kept
     # for every size until one final order sweep, this build peaked at
     # 227 MiB, against 109 MiB with the rows dropped chunk by chunk,
-    # 79.5 MiB with int32 subset index tables and 53.5 MiB with the edge
-    # products taken one edge slot at a time
+    # 79.5 MiB with int32 subset index tables, 53.5 MiB with the edge
+    # products taken one edge slot at a time and 31 MiB with the lattices
+    # run for one set per structural class
     g = random_regular_graph(random.Random(256), 256, 3, 0.2)
     fam = enumerate_connected(g, 7)
     tracemalloc.start()
