@@ -26,7 +26,6 @@ from .hypergraph import (
     Hypergraph,
     IsingActivity,
     TableActivity,
-    disjoint_union,
     hypergraph_to_doc,
     parse_hypergraph,
 )
@@ -59,7 +58,6 @@ from .subgraphs import (
 from .taylor import (
     PartitionEstimator,
     TaylorApproximation,
-    log_series_from_coefficients,
     truncated_log_partition,
     truncation_bound,
     truncation_order,

@@ -31,12 +31,15 @@ from .errors import HyperIsingError, SchemaError
 from .hypergraph import Hypergraph, parse_hypergraph
 from .instances import random_regular_graph
 from .leeyang import (
+    DEFAULT_CIRCLE_TOL,
     check_activity_ranges,
     ising_ly_range,
     off_circle_witness,
     verify_zeros_on_circle,
 )
 from .oracle import (
+    DEFAULT_RESIDUAL_TOL,
+    DEFAULT_VERTEX_CAP,
     check_vertex_cap,
     coefficient_zeros,
     cut_histogram,
@@ -45,8 +48,8 @@ from .oracle import (
     exact_partition,
     uniform_beta_coefficients,
 )
-from .subgraphs import count_bound, enumerate_connected
-from .taylor import PartitionEstimator
+from .subgraphs import DEFAULT_SET_CAP, count_bound, enumerate_connected
+from .taylor import DEFAULT_ORDER_CAP, PartitionEstimator
 
 log = logging.getLogger("hyperising")
 
@@ -78,6 +81,15 @@ def tolerance(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, not {text!r}")
+    return value
+
+
+def cap(text: str) -> int:
+    """A cap, an integer >= 0: a negative one would refuse every request
+    as if it were too large."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"cap must be an integer >= 0, not {text!r}")
     return value
 
 
@@ -117,11 +129,14 @@ def _load_input(path: str) -> tuple[Hypergraph, str]:
 # fills it from HYPERISING_<FLAG> or the default
 _GLOBAL_FLAGS = {
     "--threads": (int, 1, "echoed in the report; sweep runs on one thread"),
-    "--m-cap": (int, 24, "cap on the coefficient-table order"),
-    "--memory-cap": (int, 1 << 26, "cap on stored connected label sets"),
-    "--oracle-cap": (int, 24, "vertex cap for exact enumeration"),
-    "--tol-circle": (tolerance, 1e-6, "allowed deviation of |root| from 1"),
-    "--tol-residual": (tolerance, 1e-8,
+    "--m-cap": (cap, DEFAULT_ORDER_CAP, "cap on the coefficient-table order"),
+    "--memory-cap": (cap, DEFAULT_SET_CAP,
+                     "cap on stored connected label sets, singletons too"),
+    "--oracle-cap": (cap, DEFAULT_VERTEX_CAP,
+                     "vertex cap for exact enumeration"),
+    "--tol-circle": (tolerance, DEFAULT_CIRCLE_TOL,
+                     "allowed deviation of |root| from 1"),
+    "--tol-residual": (tolerance, DEFAULT_RESIDUAL_TOL,
                        "allowed |P(root)| relative to max |coefficient|"),
     "--seed": (int, 0, "seed for generated instances"),
 }

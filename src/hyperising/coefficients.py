@@ -55,8 +55,10 @@ split a 3-regular host's classes about fiftyfold. A representative
 reads each subset S2 at the value of S2's own class, so no map between
 local orders is needed. When no two edges share a table id, a key pins
 down the edges its set meets, so keying is skipped and every set is its
-own class. The finished tables are value arrays aligned with the rows of
-the family's size arrays, smaller sets first, and p_t is their correctly
+own class. Classes are numbered in the order of their sorted keys. The
+host's edge arrays come with the family, built once by the enumeration.
+The finished tables are value arrays aligned with the rows of the
+family's size arrays, smaller sets first, and p_t is their correctly
 rounded sum.
 
 Elementary symmetric functions of the reciprocal roots follow from the
@@ -76,8 +78,7 @@ import numpy as np
 
 from .errors import MemoryCapError
 from .hypergraph import Hypergraph
-from .subgraphs import (DEFAULT_SET_CAP, ConnectedFamily, _edge_arrays,
-                        enumerate_connected)
+from .subgraphs import ConnectedFamily, enumerate_connected
 
 # local subsets per chunk of same-size sets: bounds the lattices, ranked
 # sums, pair rows and gathers held at once
@@ -140,27 +141,24 @@ def _edge_products(sets: np.ndarray, inc: np.ndarray, ev: np.ndarray,
     return e.T
 
 
-def _keying(g: Hypergraph, inc: np.ndarray, ev: np.ndarray,
-            depth: int) -> tuple | None:
-    """(inc_pos, tid, order_free) for `_structure_classes`, or None when
-    every set is its own class: when no two edges share a table id (equal
-    keys would then put each edge position on the same host vertex, so
-    only sets of isolated vertices could merge) or a slot code would not
-    fit in int64.
+def _keying(g: Hypergraph, inc_pos: np.ndarray, depth: int) -> tuple | None:
+    """(tid, order_free) for `_structure_classes`, or None when every set
+    is its own class: when no two edges share a table id (equal keys
+    would then put each edge position on the same host vertex, so only
+    sets of isolated vertices could merge) or a slot code would not fit
+    in int64.
 
     tid[e] is shared exactly by the edges of one size with equal
     activities (the dummy edge has its own); order_free[id] says whether
     that table is unchanged by every permutation of the edge's positions
     (true of every Ising edge), i.e. reads only the number of "+"
-    positions; inc_pos[v, d] is the position of v in its edge inc[v, d]
-    (0 for padding).
+    positions.
     """
     ids: dict = {}
     tid = np.asarray([ids.setdefault((e.size, e.activity), len(ids))
                       for e in g.edges] + [len(ids)])
     if len(ids) == len(g.edges):
         return None
-    inc_pos = (ev[inc] == np.arange(g.n)[:, None, None]).argmax(axis=2)
     if len(tid) * _trace_codes(depth, inc_pos) >= 1 << 63:
         return None
     order_free = [True] * (len(ids) + 1)
@@ -169,7 +167,7 @@ def _keying(g: Hypergraph, inc: np.ndarray, ev: np.ndarray,
         plus = np.bitwise_count(np.arange(1 << size))
         order_free[i] = all(len(set(table[plus == c].tolist())) == 1
                             for c in range(size + 1))
-    return inc_pos, tid, np.asarray(order_free)
+    return tid, np.asarray(order_free)
 
 
 def _trace_codes(k: int, inc_pos: np.ndarray) -> int:
@@ -266,9 +264,9 @@ def _structure_keys(sets: np.ndarray, inc: np.ndarray, inc_pos: np.ndarray,
 def _structure_classes(sets: np.ndarray, inc: np.ndarray,
                        inc_pos: np.ndarray, tid: np.ndarray,
                        order_free: np.ndarray) -> tuple:
-    """(cls, reps): the class of each set, numbered in the order of its
-    first member, and the row of each class's first member, ascending.
-    Sets share a class when their `_structure_keys` rows are equal."""
+    """(cls, reps): the class of each set, numbered in the order of the
+    sorted keys, and the row of each class's first member. Sets share a
+    class when their `_structure_keys` rows are equal."""
     nsets, k = sets.shape
     step = max(1, _KEY_CELLS // (k * inc.shape[1]))
     keys = [_structure_keys(sets[lo:lo + step], inc, inc_pos, tid,
@@ -280,10 +278,7 @@ def _structure_classes(sets: np.ndarray, inc: np.ndarray,
     rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
     _, first, inv = np.unique(rows.ravel(), return_index=True,
                               return_inverse=True)
-    by_first = np.argsort(first)
-    renum = np.empty_like(by_first)
-    renum[by_first] = np.arange(len(first))
-    return renum[inv], first[by_first]
+    return inv, first
 
 
 def _subset_index(idx: np.ndarray, own: np.ndarray, parents: np.ndarray,
@@ -344,25 +339,25 @@ def compute_coefficient_tables(
     g: Hypergraph,
     m: int,
     fam: ConnectedFamily | None = None,
-    set_cap: int = DEFAULT_SET_CAP,
 ) -> CoefficientTable:
     """Run the coefficient recurrence to order m over the host's connected
     label sets. The family saturates at the host size, so orders beyond n
-    cover the same sets. A family of 2^31 sets or more is refused with
+    cover the same sets; a given family must be g's, since the tables read
+    its edge arrays. A family of 2^31 sets or more is refused with
     MemoryCapError before any table is built."""
     if m < 1:
         raise ValueError("order m must be >= 1")
     depth = max(1, min(m, g.n))
     if fam is None:
-        fam = enumerate_connected(g, depth, set_cap=set_cap)
+        fam = enumerate_connected(g, depth)
     elif fam.t_max < depth:
         raise ValueError(f"family enumerated to {fam.t_max}, need {depth}")
     ends = np.cumsum([len(fam.by_size[k]) for k in range(depth)]).tolist()
     if ends[-1] >= 1 << 31:
         raise MemoryCapError(f"{ends[-1]} label sets overflow int32 indices")
 
-    inc, ev, tab = _edge_arrays(g)
-    keying = _keying(g, inc, ev, depth)
+    inc, inc_pos, ev, tab = fam.arrays
+    keying = _keying(g, inc_pos, depth)
     # values[t, c]: the order-t coefficient of the sets of class c; cls
     # maps each family row to its class
     cls = np.empty(ends[-1], dtype=np.int64)
@@ -379,7 +374,8 @@ def compute_coefficient_tables(
         if keying is None:
             batch_cls = reps = np.arange(len(sets))
         else:
-            batch_cls, reps = _structure_classes(sets, inc, *keying)
+            batch_cls, reps = _structure_classes(sets, inc, inc_pos,
+                                                 *keying)
         first = values.shape[1]
         cls[offset:ends[k - 1]] = first + batch_cls
         values = np.concatenate(
@@ -394,8 +390,7 @@ def compute_coefficient_tables(
                           fam.parents[k - 1][lo:hi], prev)
         for lo in range(0, len(reps), step):
             hi = min(lo + step, len(reps))
-            # with every set its own class, rows lo..hi are the chunk
-            pick = slice(lo, hi) if len(reps) == len(sets) else reps[lo:hi]
+            pick = reps[lo:hi]
             e = _edge_products(sets[pick], inc, ev, tab)
             row_l, row_c, row_i, row_coef, row_mult, row_r = _size_rows(
                 idx[pick], e, k, m)

@@ -127,14 +127,6 @@ class Hypergraph:
     def max_edge_size(self) -> int:
         return max((e.size for e in self.edges), default=0)
 
-    def incident_index(self) -> list[list[int]]:
-        """vertex -> indices into self.edges of the edges containing it."""
-        idx: list[list[int]] = [[] for _ in range(self.n)]
-        for i, e in enumerate(self.edges):
-            for v in e.vertices:
-                idx[v].append(i)
-        return idx
-
     def all_symmetric(self) -> bool:
         return all(e.is_symmetric() for e in self.edges)
 
@@ -247,10 +239,3 @@ def hypergraph_to_doc(g: Hypergraph) -> dict:
             out.append({"v": list(e.vertices), "phi": phi})
     return {"n": g.n, "edges": out}
 
-
-def disjoint_union(g1: Hypergraph, g2: Hypergraph) -> Hypergraph:
-    """Place g2 after g1 on fresh vertex ids."""
-    shifted = tuple(
-        Hyperedge(tuple(v + g1.n for v in e.vertices), e.activity) for e in g2.edges
-    )
-    return Hypergraph(g1.n + g2.n, g1.edges + shifted)

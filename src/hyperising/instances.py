@@ -10,21 +10,18 @@ from .hypergraph import Hyperedge, Hypergraph, IsingActivity, TableActivity
 from .leeyang import ising_ly_range
 
 
-def in_range_beta(rng: random.Random, k: int, margin: float = 0.05) -> float:
-    """Activity drawn inside the tight range for edge size k, keeping
-    `margin` of the interval away from both endpoints."""
+def in_range_beta(rng: random.Random, k: int) -> float:
+    """Activity drawn inside the tight range for edge size k, keeping 5% of
+    the interval away from both endpoints."""
     r = ising_ly_range(k)
-    u = rng.uniform(margin, 1 - margin)
+    u = rng.uniform(0.05, 0.95)
     return r.lo + u * (r.hi - r.lo)
 
 
-def random_symmetric_table(rng: random.Random, size: int,
-                           suzuki_fisher: bool = True) -> TableActivity:
-    """Random symmetric table phi(sigma) = conj(phi(-sigma)), phi(-..-) = 1.
-
-    With suzuki_fisher=True the off-pattern magnitudes are scaled so
-    |phi(+..+)| >= (1/4) sum |phi| holds with a little slack.
-    """
+def random_symmetric_table(rng: random.Random, size: int) -> TableActivity:
+    """Random symmetric table phi(sigma) = conj(phi(-sigma)), phi(-..-) = 1,
+    its off-pattern magnitudes scaled so that the Suzuki-Fisher condition
+    |phi(+..+)| >= (1/4) sum |phi| holds with a little slack."""
     full = 1 << size
     values: list[complex | None] = [None] * full
     values[0] = complex(1.0)
@@ -34,27 +31,25 @@ def random_symmetric_table(rng: random.Random, size: int,
             v = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             values[b] = v
             values[(full - 1) ^ b] = v.conjugate()
-    if suzuki_fisher:
-        middle = sum(abs(v) for v in values[1:-1])
-        budget = 1.8  # keeps 1 >= (2 + middle)/4 with slack
-        if middle > budget:
-            scale = budget / middle
-            for b in range(1, full - 1):
-                values[b] = values[b] * scale
+    middle = sum(abs(v) for v in values[1:-1])
+    budget = 1.8  # keeps 1 >= (2 + middle)/4 with slack
+    if middle > budget:
+        scale = budget / middle
+        for b in range(1, full - 1):
+            values[b] = values[b] * scale
     return TableActivity(tuple(values))
 
 
 def random_connected_hypergraph(rng: random.Random, n: int,
                                 max_degree: int = 4, max_edge_size: int = 4,
-                                activity: str = "in-range",
-                                extra_edges: int | None = None) -> Hypergraph:
+                                activity: str = "in-range") -> Hypergraph:
     """Connected hypergraph on n vertices respecting the degree and edge
-    size caps, with activities per `activity`:
+    size caps: a random spanning structure plus up to max(1, n // 2) extra
+    edges, with activities per `activity`:
 
       "in-range"  Ising betas inside the tight circle range per edge size
       "table"     symmetric random tables passing Suzuki-Fisher
       "mixed"     coin flip between the two per edge
-      "unit"      all Ising beta = 1
     """
     if n < 1:
         raise SchemaError("need at least one vertex")
@@ -69,8 +64,6 @@ def random_connected_hypergraph(rng: random.Random, n: int,
             return IsingActivity(in_range_beta(rng, k))
         if kind == "table":
             return random_symmetric_table(rng, k)
-        if kind == "unit":
-            return IsingActivity(1.0)
         raise SchemaError(f"unknown activity scheme {activity!r}")
 
     for _ in range(200):
@@ -94,10 +87,7 @@ def random_connected_hypergraph(rng: random.Random, n: int,
             reached.append(v)
         if not ok:
             continue
-        want_extra = extra_edges if extra_edges is not None else max(1, n // 2)
-        for _ in range(3 * want_extra):
-            if want_extra == 0:
-                break
+        for _ in range(max(1, n // 2)):
             avail = [u for u in range(n) if degrees[u] < max_degree]
             if len(avail) < 2:
                 break
@@ -106,7 +96,6 @@ def random_connected_hypergraph(rng: random.Random, n: int,
             members_list.append(edge)
             for u in edge:
                 degrees[u] += 1
-            want_extra -= 1
         edges = tuple(
             Hyperedge(members, make_activity(len(members)))
             for members in members_list

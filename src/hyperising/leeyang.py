@@ -28,10 +28,10 @@ import numpy as np
 
 from .errors import HyperIsingError, RootConvergenceError
 from .hypergraph import Hyperedge, Hypergraph, IsingActivity
-from .oracle import DEFAULT_VERTEX_CAP, ZeroReport, polynomial_roots, polyval, zero_report
+from .oracle import (DEFAULT_RESIDUAL_TOL, DEFAULT_VERTEX_CAP, ZeroReport,
+                     polynomial_roots, polyval, zero_report)
 
 DEFAULT_CIRCLE_TOL = 1e-6
-DEFAULT_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,8 @@ from .errors import OracleCapError, RootConvergenceError, SchemaError
 from .hypergraph import Hypergraph, IsingActivity
 
 DEFAULT_VERTEX_CAP = 24
+# allowed |P(root)| relative to max |c_i| of a returned root
+DEFAULT_RESIDUAL_TOL = 1e-8
 _BLOCK_BITS = 20  # cap per-block scratch arrays at 2^20 entries
 
 # Trailing coefficients below this relative threshold are treated as zero
@@ -152,7 +154,7 @@ def polyval(coeffs: np.ndarray, z) -> np.ndarray:
     return np.polynomial.polynomial.polyval(z, np.asarray(coeffs, dtype=complex))
 
 
-def polynomial_roots(coeffs, tol: float = 1e-8) -> np.ndarray:
+def polynomial_roots(coeffs, tol: float = DEFAULT_RESIDUAL_TOL) -> np.ndarray:
     """All roots of sum c_i lam^i via companion-matrix eigenvalues.
 
     Near-zero leading coefficients (relative to max |c_i|) are stripped
@@ -195,7 +197,8 @@ class ZeroReport:
     max_circle_deviation: float
 
 
-def coefficient_zeros(c: np.ndarray, residual_tol: float = 1e-8) -> ZeroReport:
+def coefficient_zeros(c: np.ndarray,
+                      residual_tol: float = DEFAULT_RESIDUAL_TOL) -> ZeroReport:
     """Residual-checked roots of sum c_i lam^i and their largest distance
     from the unit circle."""
     roots = polynomial_roots(c, tol=residual_tol)
@@ -204,7 +207,7 @@ def coefficient_zeros(c: np.ndarray, residual_tol: float = 1e-8) -> ZeroReport:
     return ZeroReport(c, roots, resid, dev)
 
 
-def zero_report(g: Hypergraph, residual_tol: float = 1e-8,
+def zero_report(g: Hypergraph, residual_tol: float = DEFAULT_RESIDUAL_TOL,
                 cap: int = DEFAULT_VERTEX_CAP) -> ZeroReport:
     """Root locations of the exact partition polynomial of g.
 

@@ -9,6 +9,9 @@ deduplicated. Every connected set of size s > 1 contains a connected
 subset of size s-1, so the growth procedure is exhaustive. Each size is
 one (count, s) int64 array of ascending rows in lexicographic order, the
 one form of a label set from here through the tables to the power sums.
+The family also keeps the host's padded edge arrays, built once here, so
+the coefficient tables of the same family read them instead of building
+them again.
 """
 
 from __future__ import annotations
@@ -35,11 +38,14 @@ class ConnectedFamily:
     (count, s) array: parents[s-1][j, b] is the row of by_size[s-2]
     holding set j minus its b-th vertex, or -1 when that set is
     disconnected (always -1 for s = 1: the empty set is no label set).
+    arrays is the host's (inc, inc_pos, ev, tab) from `_edge_arrays`, the
+    edge data the coefficient tables read too.
     """
 
     t_max: int
     by_size: tuple[np.ndarray, ...]
     parents: tuple[np.ndarray, ...]
+    arrays: tuple[np.ndarray, ...]
 
     def sets_of_size(self, s: int) -> np.ndarray:
         if s < 1 or s > self.t_max:
@@ -51,22 +57,26 @@ class ConnectedFamily:
 
 
 def _edge_arrays(g: Hypergraph):
-    """Padded edge data: incident edge ids per vertex, vertex ids per edge
-    (padded with n, which is no vertex) and spin tables per edge. The
-    extra last edge meets nothing and has an all-ones table, so it pads
-    every slot without changing a product."""
+    """Padded edge data: incident edge ids per vertex and the vertex's
+    position in each, vertex ids per edge (padded with n, which is no
+    vertex) and spin tables per edge. The extra last edge meets nothing
+    and has an all-ones table, so it pads every slot, at position 0,
+    without changing a product."""
     dummy = len(g.edges)
-    incident = g.incident_index()
     inc = np.full((g.n, max(1, g.max_degree)), dummy, dtype=np.int64)
-    for v, ids in enumerate(incident):
-        inc[v, :len(ids)] = ids
+    inc_pos = np.zeros_like(inc)
+    degree = [0] * g.n
     width = max(1, g.max_edge_size)
     ev = np.full((dummy + 1, width), g.n, dtype=np.int64)
     tab = np.ones((dummy + 1, 1 << width), dtype=np.complex128)
     for i, e in enumerate(g.edges):
         ev[i, :e.size] = e.vertices
         tab[i, :1 << e.size] = e.activity.table(e.size)
-    return inc, ev, tab
+        for place, v in enumerate(e.vertices):
+            inc[v, degree[v]] = i
+            inc_pos[v, degree[v]] = place
+            degree[v] += 1
+    return inc, inc_pos, ev, tab
 
 
 def _check_cap(stored: int, set_cap: int, size: int) -> None:
@@ -81,17 +91,18 @@ def enumerate_connected(g: Hypergraph, t: int,
                         set_cap: int = DEFAULT_SET_CAP) -> ConnectedFamily:
     """All connected label sets of size <= t, exactly and deduplicated.
 
-    Raises MemoryCapError once the number of stored sets passes set_cap;
-    growth is (e*Delta*k)^t in the worst case, so the cap fails loudly
-    instead of swapping.
+    Raises MemoryCapError once the number of stored sets, the n
+    singletons included, passes set_cap; growth is (e*Delta*k)^t in the
+    worst case, so the cap fails loudly instead of swapping.
     """
     if t < 1:
         raise ValueError("size budget t must be >= 1")
-    inc, ev, _ = _edge_arrays(g)
+    stored = g.n
+    _check_cap(stored, set_cap, 1)
+    arrays = inc, _, ev, _ = _edge_arrays(g)
     near = ev[inc].reshape(g.n, inc.shape[1] * ev.shape[1])
     sets = np.arange(g.n, dtype=np.int64)[:, None]
     by_size, parents = [sets], [np.full((g.n, 1), -1, dtype=np.int64)]
-    stored = g.n
     for size in range(2, t + 1):
         # every vertex of an edge meeting set j, once, outside set j; the
         # padding, members and repeats become g.n, which is no vertex
@@ -120,9 +131,9 @@ def enumerate_connected(g: Hypergraph, t: int,
         par[np.cumsum(first) - 1, pos[order]] = row[order]
         by_size.append(sets)
         parents.append(par)
-    for a in by_size + parents:
+    for a in (*by_size, *parents, *arrays):
         a.flags.writeable = False
-    return ConnectedFamily(t, tuple(by_size), tuple(parents))
+    return ConnectedFamily(t, tuple(by_size), tuple(parents), arrays)
 
 
 def count_bound(n: int, max_degree: int, max_edge_size: int, t: int) -> float:

@@ -97,32 +97,6 @@ def _conj(xs: Sequence[complex]) -> list[complex]:
     return [x.conjugate() if x.imag else x for x in xs]
 
 
-def log_series_from_coefficients(c: Sequence[complex], lam: complex,
-                                 m: int) -> complex:
-    """Truncated log Z recovered from the polynomial coefficients alone.
-
-    Writing log Z = sum_j g_j lam^j, differentiating Z = exp(log Z) gives
-    the triangular system c_j = sum_{i=0}^{j-1} ((j-i)/j) c_i g_{j-i},
-    solved forward for g_1..g_m. Agrees with truncated_log_partition term
-    by term; kept as an independent cross-check of the power-sum path.
-    """
-    if len(c) < 1 or c[0] != 1:
-        raise ValueError("coefficient prefix must start with c_0 = 1")
-    cs = [complex(x) for x in c] + [0.0 + 0.0j] * max(0, m + 1 - len(c))
-    g: list[complex] = []
-    for j in range(1, m + 1):
-        acc = cs[j]
-        for i in range(1, j):
-            acc -= ((j - i) / j) * cs[i] * g[j - i - 1]
-        g.append(acc)
-    acc = 0.0 + 0.0j
-    power = 1.0 + 0.0j
-    for j in range(1, m + 1):
-        power *= lam
-        acc += g[j - 1] * power
-    return acc
-
-
 @dataclass(frozen=True)
 class TaylorApproximation:
     """Outcome of one estimation run.
@@ -193,8 +167,7 @@ class PartitionEstimator:
             half = self._half
             build = depth if half is None else min(depth, half)
             fam = enumerate_connected(self.host, build, set_cap=self.set_cap)
-            ctable = compute_coefficient_tables(self.host, build, fam=fam,
-                                                set_cap=self.set_cap)
+            ctable = compute_coefficient_tables(self.host, build, fam=fam)
             p = power_sums(ctable)
             e = power_sums_to_elementary(p)
             if build == half:

@@ -55,6 +55,13 @@ def with_uniform_beta(g: Hypergraph, beta: float) -> Hypergraph:
     ))
 
 
+def disjoint_union(g1: Hypergraph, g2: Hypergraph) -> Hypergraph:
+    """Place g2 after g1 on fresh vertex ids."""
+    shifted = tuple(Hyperedge(tuple(v + g1.n for v in e.vertices), e.activity)
+                    for e in g2.edges)
+    return Hypergraph(g1.n + g2.n, g1.edges + shifted)
+
+
 def table_edge(verts, values):
     return Hyperedge(tuple(sorted(verts)), TableActivity(tuple(values)))
 

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hyperising import (check_activity_ranges, exact_partition,
                         hypergraph_to_doc, ising_ly_range, parse_hypergraph)
-from hyperising import cli
+from hyperising import cli, leeyang, oracle, subgraphs, taylor
 from hyperising.cli import main, parse_lambda
 from hyperising.instances import random_connected_hypergraph, random_regular_graph
 
@@ -537,3 +537,68 @@ def test_parser_built_once_reads_variables_per_call(capsys, write_doc,
         monkeypatch.setenv("HYPERISING_M_CAP", cap)
         assert run_cli(capsys, argv)[0] == 0
     assert seen == [3, 5]
+
+
+CAP_FLAGS = [(command, flag)
+             for command, flags in sorted(COMMAND_FLAGS.items())
+             for flag in flags if flag.endswith("-cap")]
+R10_DOC = hypergraph_to_doc(random_regular_graph(random.Random(3), 10, 3, 0.3))
+
+
+@pytest.mark.parametrize("command,flag", CAP_FLAGS)
+def test_negative_cap_exit_one(capsys, write_doc, monkeypatch, command, flag):
+    # a negative cap was refused as if the request were too large (exit 2,
+    # "above the cap -1"); it is a bad flag value
+    argv = command_argv(command, write_doc(K2_DOC))
+    code, rep, err = run_cli(capsys, argv + [flag, "-1"])
+    assert code == 1 and rep is None
+    assert err.startswith("error:") and flag in err
+    monkeypatch.setenv(env_name(flag), "-1")
+    code, rep, err = run_cli(capsys, argv)
+    assert code == 1 and rep is None and env_name(flag) in err
+    assert run_cli(capsys, argv + [flag, str(FLAG_VALUES[flag])])[0] == 0
+
+
+@pytest.mark.parametrize("argv,doc,cap", [
+    (["enumerate", "--t", "1"], R10_DOC, 9),
+    (["coeffs", "--m", "1"], R10_DOC, 3),
+    # the 2-vertex host's half-depth tables stop at size 1
+    (["approx", "--lambda", "0.5", "--epsilon", "0.1"], K2_DOC, 1),
+])
+def test_memory_cap_counts_singletons(capsys, write_doc, argv, doc, cap):
+    # the cap was first checked at size 2, so requests that store only
+    # the n singletons ran past it
+    call = [argv[0], write_doc(doc), *argv[1:], "--memory-cap"]
+    code, rep, err = run_cli(capsys, call + [str(cap)])
+    assert code == 2 and rep is None
+    assert err.startswith("refused:") and "at size 1" in err
+    code, rep, _ = run_cli(capsys, call + [str(doc["n"])])
+    assert code == 0 and rep["parameters"]["memory_cap"] == doc["n"]
+
+
+def test_cli_defaults_are_the_library_constants(capsys, write_doc,
+                                                monkeypatch):
+    # each default has one home, in the module that applies it
+    homes = {"--m-cap": taylor.DEFAULT_ORDER_CAP,
+             "--memory-cap": subgraphs.DEFAULT_SET_CAP,
+             "--oracle-cap": oracle.DEFAULT_VERTEX_CAP,
+             "--tol-circle": leeyang.DEFAULT_CIRCLE_TOL,
+             "--tol-residual": oracle.DEFAULT_RESIDUAL_TOL}
+    for flag, value in homes.items():
+        assert cli._GLOBAL_FLAGS[flag][1] is value, flag
+    assert leeyang.DEFAULT_RESIDUAL_TOL is oracle.DEFAULT_RESIDUAL_TOL
+    seen = {}
+
+    def handler(args):
+        seen.update(vars(args))
+        return {"timings": {}}
+
+    for command, flags in COMMAND_FLAGS.items():
+        for flag in flags:
+            monkeypatch.delenv(env_name(flag), raising=False)
+        monkeypatch.setitem(cli._HANDLERS, command, handler)
+        argv = command_argv(command, write_doc(K2_DOC))
+        assert run_cli(capsys, argv)[0] == 0
+        for flag in flags:
+            if flag in homes:
+                assert seen[flag[2:].replace("-", "_")] == homes[flag], flag

@@ -14,7 +14,6 @@ from hyperising import (
     IsingActivity,
     TableActivity,
     compute_coefficient_tables,
-    disjoint_union,
     elementary_to_coefficients,
     enumerate_connected,
     exact_coefficients,
@@ -28,9 +27,9 @@ from hyperising.instances import (random_connected_hypergraph,
                                   random_regular_graph, random_symmetric_table)
 from hyperising.subgraphs import _edge_arrays
 
-from conftest import (brute_connected_sets, edgeless, ising_edge, k2,
-                      max_coeff_rel_err, set_weight, single_edge, table_dicts,
-                      triangle, with_uniform_beta)
+from conftest import (brute_connected_sets, disjoint_union, edgeless,
+                      ising_edge, k2, max_coeff_rel_err, set_weight,
+                      single_edge, table_dicts, triangle, with_uniform_beta)
 
 
 def test_insect_weight_examples():
@@ -294,13 +293,14 @@ def literal_recurrence_hosts():
 
 def class_counts(g: Hypergraph, t: int) -> list[tuple[int, int]]:
     """(sets, classes) of each size up to t."""
-    inc, ev, _ = _edge_arrays(g)
-    keying = coefficients._keying(g, inc, ev, t)
+    fam = enumerate_connected(g, t)
+    inc, inc_pos, _, _ = fam.arrays
+    keying = coefficients._keying(g, inc_pos, t)
     out = []
-    for sets in enumerate_connected(g, t).by_size:
+    for sets in fam.by_size:
         if len(sets):
             reps = (sets if keying is None else coefficients.
-                    _structure_classes(sets, inc, *keying)[1])
+                    _structure_classes(sets, inc, inc_pos, *keying)[1])
             out.append((len(sets), len(reps)))
     return out
 
@@ -424,8 +424,8 @@ def test_edge_products_match_set_weights(case):
     # E[j, x] = (-1)^|x| w(x) for the subset x of sets[j], and the rows of
     # a set do not depend on the other sets passed with it
     g, sets = case
-    arrays = _edge_arrays(g)
-    e = coefficients._edge_products(sets, *arrays)
+    inc, _, ev, tab = _edge_arrays(g)
+    e = coefficients._edge_products(sets, inc, ev, tab)
     assert e.shape == (len(sets), 1 << sets.shape[1])
     for row, labels in zip(e.tolist(), sets.tolist()):
         for x, got in enumerate(row):
@@ -433,8 +433,8 @@ def test_edge_products_match_set_weights(case):
             want = (-1) ** x.bit_count() * set_weight(g, mask)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
     cut = len(sets) // 2
-    split = np.vstack([coefficients._edge_products(sets[:cut], *arrays),
-                       coefficients._edge_products(sets[cut:], *arrays)])
+    split = np.vstack([coefficients._edge_products(sets[:cut], inc, ev, tab),
+                       coefficients._edge_products(sets[cut:], inc, ev, tab)])
     assert np.array_equal(split, e)
 
 

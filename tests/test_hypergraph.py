@@ -11,15 +11,15 @@ from hyperising import (
     IsingActivity,
     SchemaError,
     TableActivity,
-    disjoint_union,
     enumerate_connected,
     hypergraph_to_doc,
     parse_hypergraph,
 )
-from hyperising.coefficients import _edge_arrays, _edge_products
+from hyperising.coefficients import _edge_products
 from hyperising.instances import random_connected_hypergraph
 
-from conftest import ising_edge, k2, label_sets, path3, set_weight, triangle
+from conftest import (disjoint_union, ising_edge, k2, label_sets, path3,
+                      set_weight, triangle)
 
 
 def test_parse_k2():
@@ -118,13 +118,13 @@ def test_induced_nesting_by_enumeration():
     ]
     assert any(isinstance(e.activity, TableActivity) for e in hosts[-1].edges)
     for g in hosts:
-        arrays = _edge_arrays(g)
         fam = enumerate_connected(g, g.n)
+        inc, _, ev, tab = fam.arrays
         for k in range(1, g.n + 1):
             labs = fam.sets_of_size(k)
             if not len(labs):
                 break
-            lattice = _edge_products(labs, *arrays)
+            lattice = _edge_products(labs, inc, ev, tab)
             for lab, row in zip(labs.tolist(), lattice):
                 for x in range(1 << k):
                     t = sum(1 << v for b, v in enumerate(lab) if x >> b & 1)

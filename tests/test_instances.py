@@ -1,10 +1,12 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 from hyperising import (
-    IsingActivity,
     SchemaError,
+    hypergraph_to_doc,
     ising_ly_range,
     suzuki_fisher_check,
 )
@@ -62,12 +64,6 @@ def test_symmetric_tables_pass_suzuki_fisher():
             assert suzuki_fisher_check(Hyperedge(tuple(range(size)), act))
 
 
-def test_unit_activity_scheme():
-    rng = random.Random(1)
-    g = random_connected_hypergraph(rng, 6, 4, 3, activity="unit")
-    assert all(e.activity == IsingActivity(1.0) for e in g.edges)
-
-
 def test_regular_graph_is_simple_and_regular():
     rng = random.Random(12)
     g = random_regular_graph(rng, 20, 3, 0.5)
@@ -91,3 +87,23 @@ def test_generator_rejects_bad_caps():
         random_connected_hypergraph(random.Random(0), 5, 1, 3)
     with pytest.raises(SchemaError):
         random_connected_hypergraph(random.Random(0), 0, 3, 3)
+
+
+def test_generated_hosts_are_pinned():
+    # the benchmark's corpus, near-circle and smoke hosts and the tests'
+    # fixed hosts come from these generators: a change to their draws
+    # would change every one of them
+    h = hashlib.sha256()
+    for seed in (0, 7, 20260809):
+        rng = random.Random(seed)
+        for caps in ((4, 4), (4, 3), (3, 3)):
+            for scheme in ("in-range", "mixed", "table"):
+                for n in (1, 2, 5, 9, 12):
+                    g = random_connected_hypergraph(rng, n, *caps,
+                                                    activity=scheme)
+                    h.update(json.dumps(hypergraph_to_doc(g)).encode())
+        for k in (2, 3, 4, 5):
+            h.update(repr(random_symmetric_table(rng, k).values).encode())
+            h.update(repr([in_range_beta(rng, k) for _ in range(3)]).encode())
+    assert h.hexdigest() == ("4b12067c26c8551f5bed381cbf37626d"
+                             "0f09ba2f7309f7142dd6a2d91b68772c")

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from hyperising import (
     OracleCapError,
     SchemaError,
-    disjoint_union,
     exact_coefficients,
     exact_multivariate,
     exact_partition,
@@ -19,8 +18,8 @@ from hyperising import (
 from hyperising.instances import random_connected_hypergraph
 from hyperising.oracle import cut_histogram, polyval, uniform_beta_coefficients
 
-from conftest import (edgeless, k2, path_graph, single_edge, triangle,
-                      with_uniform_beta)
+from conftest import (disjoint_union, edgeless, k2, path_graph, single_edge,
+                      triangle, with_uniform_beta)
 
 
 def test_edgeless_partition_is_binomial():

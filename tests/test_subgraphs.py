@@ -170,6 +170,11 @@ def test_memory_cap_fails_loudly():
     g = cycle_graph(12)
     with pytest.raises(MemoryCapError):
         enumerate_connected(g, 6, set_cap=20)
+    # the n singletons count too
+    assert enumerate_connected(g, 1, set_cap=12).counts() == {1: 12}
+    for t in (1, 3):
+        with pytest.raises(MemoryCapError, match="at size 1"):
+            enumerate_connected(g, t, set_cap=11)
 
 
 def test_deterministic_lexicographic_output():

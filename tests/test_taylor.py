@@ -16,14 +16,13 @@ from hyperising import (
     elementary_to_coefficients,
     exact_coefficients,
     exact_partition,
-    log_series_from_coefficients,
     power_sums,
     power_sums_to_elementary,
     truncated_log_partition,
     truncation_bound,
     truncation_order,
 )
-from hyperising import Hyperedge, Hypergraph, taylor
+from hyperising import Hyperedge, Hypergraph, coefficients, subgraphs, taylor
 from hyperising.instances import random_connected_hypergraph, random_regular_graph
 
 from conftest import LAMBDA_GRID, edgeless, k2, path_graph, rel_err, single_edge
@@ -70,6 +69,31 @@ def test_truncated_log_edgeless_is_binomial_log_series():
     series = n * sum((-1) ** (j + 1) * lam ** j / j for j in range(1, 9))
     assert got == pytest.approx(series)
     assert abs(got - n * math.log(1 + lam)) < 1e-3
+
+
+def log_series_from_coefficients(c, lam: complex, m: int) -> complex:
+    """Truncated log Z recovered from the polynomial coefficients alone.
+
+    Writing log Z = sum_j g_j lam^j, differentiating Z = exp(log Z) gives
+    the triangular system c_j = sum_{i=0}^{j-1} ((j-i)/j) c_i g_{j-i},
+    solved forward for g_1..g_m. Agrees with truncated_log_partition term
+    by term: the reference the power-sum path is checked against.
+    """
+    if len(c) < 1 or c[0] != 1:
+        raise ValueError("coefficient prefix must start with c_0 = 1")
+    cs = [complex(x) for x in c] + [0.0 + 0.0j] * max(0, m + 1 - len(c))
+    g: list[complex] = []
+    for j in range(1, m + 1):
+        acc = cs[j]
+        for i in range(1, j):
+            acc -= ((j - i) / j) * cs[i] * g[j - i - 1]
+        g.append(acc)
+    acc = 0.0 + 0.0j
+    power = 1.0 + 0.0j
+    for j in range(1, m + 1):
+        power *= lam
+        acc += g[j - 1] * power
+    return acc
 
 
 def test_log_series_from_coefficients_first_order():
@@ -427,3 +451,19 @@ def test_twenty_vertex_polynomial_path_answers():
     assert ap.evaluation == "polynomial" and ap.guaranteed
     assert est._state[0].m == 10
     assert rel_err(ap.value, exact_partition(g, 0.97)) <= 0.01
+
+
+def test_one_build_makes_the_edge_arrays_once(monkeypatch):
+    # the tables read the arrays the enumeration built with the family
+    calls = []
+    real = subgraphs._edge_arrays
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(subgraphs, "_edge_arrays", counted)
+    monkeypatch.setattr(coefficients, "_edge_arrays", counted, raising=False)
+    g = random_regular_graph(random.Random(1), 10, 3, 0.3)
+    PartitionEstimator(g).power_sums_up_to(5)
+    assert calls == [g]
