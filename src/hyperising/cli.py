@@ -14,6 +14,7 @@ the variables of flags it does not take.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import hashlib
 import json
@@ -94,13 +95,14 @@ def cap(text: str) -> int:
 
 
 def parse_lambda(text: str) -> complex:
-    """Accept "re" or "re,im" with scientific notation."""
+    """Accept "re" or "re,im" with scientific notation, both finite."""
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) in (1, 2):
+            lam = complex(*map(float, parts))
+            if cmath.isfinite(lam):
+                return lam
+            raise CliInputError(f"activity must be finite, got {text!r}")
     except ValueError:
         pass
     raise CliInputError(f"cannot parse activity {text!r}; expected re or re,im")
@@ -262,6 +264,8 @@ def _cmd_approx(args) -> dict:
                    {"parse": t1 - t0, "approximate": t2 - t1})
 
 
+# an overflowing Z is refused below, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_exact(args) -> dict:
     t0 = time.perf_counter()
     g, digest = _load_input(args.input)
@@ -277,6 +281,10 @@ def _cmd_exact(args) -> dict:
         lams = [parse_lambda(s) for s in args.multivariate.split(";") if s]
         result["z_multivariate"] = _cnum(
             exact_multivariate(g, lams, cap=args.oracle_cap))
+    for key in ("z", "z_multivariate"):
+        if not all(map(math.isfinite, result.get(key, ()))):
+            raise HyperIsingError(
+                f"{key} overflows double precision on {g.n} vertices")
     t2 = time.perf_counter()
     params = {"lambda": _cnum(lam), "oracle_cap": args.oracle_cap}
     return _report("exact", digest, params, result, None,
@@ -347,7 +355,7 @@ def _cmd_enumerate(args) -> dict:
     for t in range(2, args.t + 1):
         if degree >= 1 and esize >= 1:
             b = count_bound(g.n, degree, esize, t)
-            bounds[str(t)] = {"bound": b,
+            bounds[str(t)] = {"bound": b if math.isfinite(b) else None,
                               "count": counts.get(t, 0),
                               "respected": counts.get(t, 0) <= b}
     result = {

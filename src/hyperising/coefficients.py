@@ -59,7 +59,7 @@ own class. Classes are numbered in the order of their sorted keys. The
 host's edge arrays come with the family, built once by the enumeration.
 The finished tables are value arrays aligned with the rows of the
 family's size arrays, smaller sets first, and p_t is their correctly
-rounded sum.
+rounded sum; the table does not keep the family.
 
 Elementary symmetric functions of the reciprocal roots follow from the
 power sums by Newton's identities; with the all-minus normalization the
@@ -98,8 +98,6 @@ class CoefficientTable:
     recurrence of any one label set at order t (bounded by 4^t).
     """
 
-    m: int
-    family: ConnectedFamily
     tables: tuple[np.ndarray, ...]
     pair_scan_max: tuple[int, ...]
 
@@ -343,13 +341,15 @@ def compute_coefficient_tables(
     """Run the coefficient recurrence to order m over the host's connected
     label sets. The family saturates at the host size, so orders beyond n
     cover the same sets; a given family must be g's, since the tables read
-    its edge arrays. A family of 2^31 sets or more is refused with
-    MemoryCapError before any table is built."""
+    its edge arrays (ValueError otherwise). A family of 2^31 sets or more
+    is refused with MemoryCapError before any table is built."""
     if m < 1:
         raise ValueError("order m must be >= 1")
     depth = max(1, min(m, g.n))
     if fam is None:
         fam = enumerate_connected(g, depth)
+    elif fam.host != g:
+        raise ValueError("family was enumerated on another host")
     elif fam.t_max < depth:
         raise ValueError(f"family enumerated to {fam.t_max}, need {depth}")
     ends = np.cumsum([len(fam.by_size[k]) for k in range(depth)]).tolist()
@@ -427,7 +427,7 @@ def compute_coefficient_tables(
         table = values[t, cls[:ends[min(t, depth) - 1]]]
         table.flags.writeable = False
         tables.append(table)
-    return CoefficientTable(m, fam, tuple(tables), tuple(scan_max[1:]))
+    return CoefficientTable(tuple(tables), tuple(scan_max[1:]))
 
 
 def power_sums(ctable: CoefficientTable) -> list[complex]:

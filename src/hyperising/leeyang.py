@@ -132,7 +132,6 @@ class CircleCertificate:
 
     report: ZeroReport
     ranges: RangeCheck
-    circle_tol: float
     on_circle: bool
     certified: bool
 
@@ -146,7 +145,7 @@ def verify_zeros_on_circle(g: Hypergraph,
     report = zero_report(g, residual_tol=residual_tol, cap=cap)
     ranges = check_activity_ranges(g)
     on_circle = report.max_circle_deviation <= circle_tol
-    return CircleCertificate(report, ranges, circle_tol, on_circle,
+    return CircleCertificate(report, ranges, on_circle,
                              ranges.all_pass and on_circle)
 
 

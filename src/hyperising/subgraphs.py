@@ -9,9 +9,9 @@ deduplicated. Every connected set of size s > 1 contains a connected
 subset of size s-1, so the growth procedure is exhaustive. Each size is
 one (count, s) int64 array of ascending rows in lexicographic order, the
 one form of a label set from here through the tables to the power sums.
-The family also keeps the host's padded edge arrays, built once here, so
-the coefficient tables of the same family read them instead of building
-them again.
+The family records its host and keeps the host's padded edge arrays,
+built once here, so the coefficient tables of the same family read them
+instead of building them again, and refuse a family of another host.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ DEFAULT_SET_CAP = 1 << 26
 
 @dataclass(frozen=True, eq=False)
 class ConnectedFamily:
-    """Connected label sets of a fixed host, grouped by size.
+    """Connected label sets of the hypergraph `host`, grouped by size.
 
     by_size[s-1] is a read-only (count, s) int64 array whose rows are the
     connected label sets S with |S| = s, each row ascending and the rows
@@ -42,6 +42,7 @@ class ConnectedFamily:
     edge data the coefficient tables read too.
     """
 
+    host: Hypergraph
     t_max: int
     by_size: tuple[np.ndarray, ...]
     parents: tuple[np.ndarray, ...]
@@ -133,14 +134,17 @@ def enumerate_connected(g: Hypergraph, t: int,
         parents.append(par)
     for a in (*by_size, *parents, *arrays):
         a.flags.writeable = False
-    return ConnectedFamily(t, tuple(by_size), tuple(parents), arrays)
+    return ConnectedFamily(g, t, tuple(by_size), tuple(parents), arrays)
 
 
 def count_bound(n: int, max_degree: int, max_edge_size: int, t: int) -> float:
     """Upper bound n * (e*Delta*k)^(t-1) / 2 on the number of connected
-    label sets of size exactly t. Meaningful as an assertion rail for
-    t >= 2 only (the t = 1 instantiation falls below the trivial count n).
+    label sets of size exactly t, inf past the double range. An assertion
+    rail for t >= 2 only (at t = 1 it falls below the trivial count n).
     """
     if min(n, max_degree, max_edge_size, t) < 1:
         raise ValueError("all arguments must be >= 1")
-    return n * (math.e * max_degree * max_edge_size) ** (t - 1) / 2.0
+    try:
+        return n * (math.e * max_degree * max_edge_size) ** (t - 1) / 2.0
+    except OverflowError:
+        return math.inf

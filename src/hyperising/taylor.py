@@ -9,7 +9,7 @@ additive error of eps/4 in log Z yields a multiplicative error within
 1 +/- eps in Z. Arguments outside the unit disk are pulled inside with
 Z(lam) = lam^n * conj(Z(1/conj(lam))), valid for symmetric edge
 activities: the series or polynomial at 1/lam reads the conjugates of the
-host's own power sums or coefficients, so one snapshot of the tables
+host's own power sums or coefficients, so one snapshot of the sums
 serves both sides of the circle.
 
 The order m grows without bound as |lam| -> 1, but once m >= n the
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .coefficients import (
-    CoefficientTable,
     complete_self_inversive,
     compute_coefficient_tables,
     elementary_to_coefficients,
@@ -132,9 +131,9 @@ class TaylorApproximation:
 
 
 class PartitionEstimator:
-    """Truncation pipeline for one host, reusing one snapshot of tables
-    across calls with different accuracies and arguments on either side
-    of the unit circle."""
+    """Truncation pipeline for one host, reusing one snapshot of power
+    sums across calls with different accuracies and arguments on either
+    side of the unit circle."""
 
     def __init__(self, g: Hypergraph, order_cap: int = DEFAULT_ORDER_CAP,
                  set_cap: int = DEFAULT_SET_CAP):
@@ -144,35 +143,34 @@ class PartitionEstimator:
         # deepest table a symmetric host needs: the mirror c_{n-i} =
         # conj(c_i) gives every coefficient above it
         self._half = max(1, g.n // 2) if g.all_symmetric() else None
-        # (tables, p_1..p_depth, e_1..e_depth), replaced whole so that a
-        # reader never pairs one build's tables with another's sums; on a
-        # symmetric host tables to depth n // 2 come with p and e to n
-        self._state: tuple[CoefficientTable, list[complex],
-                           list[complex]] | None = None
+        # (p_1..p_depth, e_1..e_depth), replaced whole so that a reader
+        # never pairs one build's p with another's e; on a symmetric host
+        # tables to depth n // 2 give p and e to n
+        self._state: tuple[list[complex], list[complex]] | None = None
         self._guaranteed: bool | None = None
 
-    def _tables(self, depth: int, m: int):
-        """A snapshot (tables, power sums, elementary functions) whose sums
-        reach at least order `depth`, built and published in one assignment
-        if the current one falls short. On a symmetric host the tables stop
-        at depth n // 2, and a build that reaches it completes the sums to
-        order n by the mirror, so no later request rebuilds."""
+    def _snapshot(self, depth: int, m: int):
+        """(p, e) reaching at least order `depth`: if the current snapshot
+        falls short, the sums of one new table build replace it in one
+        assignment, and the tables are dropped. On a symmetric host the
+        tables stop at depth n // 2, and a build that reaches it completes
+        the sums to order n by the mirror, so no later request rebuilds."""
         if depth > self.order_cap:
             raise OrderCapError(
                 f"truncation order {m} needs tables to order {depth}, "
                 f"above the cap {self.order_cap}"
             )
         state = self._state
-        if state is None or len(state[1]) < depth:
+        if state is None or len(state[0]) < depth:
             half = self._half
             build = depth if half is None else min(depth, half)
             fam = enumerate_connected(self.host, build, set_cap=self.set_cap)
-            ctable = compute_coefficient_tables(self.host, build, fam=fam)
-            p = power_sums(ctable)
+            p = power_sums(compute_coefficient_tables(self.host, build,
+                                                      fam=fam))
             e = power_sums_to_elementary(p)
             if build == half:
                 p, e = complete_self_inversive(p, e, self.host.n)
-            state = (ctable, p, e)
+            state = (p, e)
             self._state = state
         return state
 
@@ -187,7 +185,7 @@ class PartitionEstimator:
         n = self.host.n
         if n == 0:
             return [0.0 + 0.0j] * m
-        _, p, e = self._tables(min(m, n), m)
+        p, e = self._snapshot(min(m, n), m)
         if m <= len(p):
             return p[:m]
         # sums never go past n, so this snapshot covers the host
@@ -198,13 +196,13 @@ class PartitionEstimator:
         host size or, on a symmetric host, to half of it and the mirror;
         `m` is the truncation order asking for them."""
         n = self.host.n
-        return elementary_to_coefficients(self._tables(n, m)[2] if n else [])
+        return elementary_to_coefficients(self._snapshot(n, m)[1] if n else [])
 
     def elementary(self) -> list[complex]:
         """e_1..e_depth for the deepest order computed so far; e_1..e_n
         once the tables of a symmetric host have reached depth n // 2."""
         state = self._state
-        return [] if state is None else state[2]
+        return [] if state is None else state[1]
 
     def guaranteed(self) -> bool:
         if self._guaranteed is None:

@@ -9,7 +9,8 @@ import random
 import numpy as np
 import pytest
 
-from hyperising import Hyperedge, Hypergraph, IsingActivity, TableActivity
+from hyperising import (Hyperedge, Hypergraph, IsingActivity, TableActivity,
+                        enumerate_connected)
 from hyperising.instances import random_connected_hypergraph
 
 
@@ -112,10 +113,12 @@ def label_sets(rows: np.ndarray) -> set[tuple[int, ...]]:
     return set(map(tuple, rows.tolist()))
 
 
-def table_dicts(ct) -> list[dict[int, complex]]:
-    """Each order's coefficient array as a map from label-set bitmask to
-    value; the arrays follow the family's rows, smaller sets first."""
-    masks = [sum(1 << v for v in row) for rows in ct.family.by_size
+def table_dicts(ct, g: Hypergraph) -> list[dict[int, complex]]:
+    """Each order's coefficient array of g's table as a map from label-set
+    bitmask to value; the arrays follow the rows of g's family, smaller
+    sets first, and enumeration gives those rows in one order only."""
+    fam = enumerate_connected(g, len(ct.tables))
+    masks = [sum(1 << v for v in row) for rows in fam.by_size
              for row in rows.tolist()]
     return [dict(zip(masks, t.tolist())) for t in ct.tables]
 

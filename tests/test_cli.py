@@ -1,7 +1,11 @@
+import ast
 import json
 import math
 import random
+import re
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -18,6 +22,7 @@ K2_DOC = {"n": 2, "edges": [{"v": [0, 1], "beta": 0.5}]}
 PATH_DOC = {"n": 3, "edges": [{"v": [0, 1], "beta": 0.5},
                               {"v": [1, 2], "beta": 0.5}]}
 EDGE3_DOC = {"n": 3, "edges": [{"v": [0, 1, 2], "beta": -1 / 3}]}
+TESTS = Path(__file__).resolve().parent
 
 
 @pytest.fixture
@@ -233,6 +238,39 @@ def test_approx_non_finite_lambda_exit_one(capsys, write_doc, lam):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--lambda", "nan"], ["--lambda", "inf"], ["--lambda", "0.5,-inf"],
+    ["--lambda", "0.5", "--multivariate", "0.5;nan;0.5"],
+])
+def test_exact_non_finite_lambda_exit_one(capsys, write_doc, argv):
+    path = write_doc(PATH_DOC)
+    code, rep, err = run_cli(capsys, ["exact", path, *argv])
+    assert code == 1 and rep is None
+    assert err.startswith("error:") and "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lambda", "1e300"], ["--lambda", "0,-1e300"],
+    ["--lambda", "0.5", "--multivariate", "1e300;1e300;1e300"],
+])
+def test_exact_overflow_refused(capsys, write_doc, argv):
+    path = write_doc(PATH_DOC)
+    code, rep, err = run_cli(capsys, ["exact", path, *argv])
+    assert code == 2 and rep is None
+    assert err.startswith("refused:") and "overflows" in err
+    assert "Warning" not in err
+
+
+def test_enumerate_bound_past_double_range_is_null(capsys, write_doc):
+    # (4e)^(t-1) passes the double range from t = 298 on
+    path = write_doc(PATH_DOC)
+    code, rep, _ = run_cli(capsys, ["enumerate", path, "--t", "300"])
+    assert code == 0
+    bounds = rep["result"]["count_bounds"]
+    assert math.isfinite(bounds["297"]["bound"])
+    assert bounds["300"] == {"bound": None, "count": 0, "respected": True}
+
+
 def test_approx_overflow_refused(capsys, write_doc):
     path = write_doc(K2_DOC)
     code, rep, err = run_cli(capsys, ["approx", path, "--lambda", "1e200",
@@ -350,15 +388,39 @@ def test_cross_process_determinism(write_doc):
     assert outs[0] == outs[1]
 
 
+def _test_extra() -> set[str]:
+    """The packages the `test` extra of pyproject.toml names."""
+    tomllib = pytest.importorskip("tomllib")
+    doc = tomllib.loads((TESTS.parent / "pyproject.toml").read_text())
+    return {re.match(r"[\w.-]+", req)[0].lower()
+            for req in doc["project"]["optional-dependencies"]["test"]}
+
+
+def test_test_extra_is_what_the_tests_import():
+    imported = set()
+    for path in TESTS.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module)
+    # the tests' own modules and the benchmark's, which a test loads
+    local = {path.stem for path in (*TESTS.glob("*.py"),
+                                    *TESTS.parent.glob("bench/*.py"))}
+    third_party = ({name.split(".")[0] for name in imported}
+                   - set(sys.stdlib_module_names) - local
+                   - {"hyperising", "numpy"})
+    assert third_party == _test_extra()
+
+
 def test_import_loads_no_test_dependency():
     import subprocess
-    import sys
 
     code = ("import sys, hyperising.cli; "
-            "print(sorted({'scipy', 'hypothesis', 'pytest'} & "
+            "print(sorted(set(sys.argv[1:]) & "
             "{name.split('.')[0] for name in sys.modules}))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
+    proc = subprocess.run([sys.executable, "-c", code, *_test_extra()],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

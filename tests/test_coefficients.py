@@ -68,7 +68,7 @@ def test_set_weights_sum_to_oracle_coefficients():
 
 def test_k2_coefficient_tables():
     beta = 0.5
-    tabs = table_dicts(compute_coefficient_tables(k2(beta), 2))
+    tabs = table_dicts(compute_coefficient_tables(k2(beta), 2), k2(beta))
     assert tabs[0][0b01] == pytest.approx(-beta)
     assert tabs[0][0b10] == pytest.approx(-beta)
     assert tabs[1][0b01] == pytest.approx(beta * beta)
@@ -77,7 +77,8 @@ def test_k2_coefficient_tables():
 
 
 def test_edgeless_single_vertex_order_two():
-    tabs = table_dicts(compute_coefficient_tables(edgeless(1), 2))
+    tabs = table_dicts(compute_coefficient_tables(edgeless(1), 2),
+                       edgeless(1))
     assert tabs[1][0b1] == pytest.approx(1.0)
 
 
@@ -85,9 +86,10 @@ def test_edgeless_single_vertex_order_two():
 def test_single_three_edge_tables_hand_derived(beta):
     # hand-run of the recurrence on one 3-edge (weights: -b per singleton,
     # +b per pair, -1 for the full set)
-    ct = compute_coefficient_tables(single_edge(3, beta), 3)
+    g = single_edge(3, beta)
+    ct = compute_coefficient_tables(g, 3)
     b = beta
-    tabs = table_dicts(ct)
+    tabs = table_dicts(ct, g)
     assert tabs[0][0b001] == pytest.approx(-b)
     assert tabs[1][0b001] == pytest.approx(b * b)
     assert tabs[1][0b011] == pytest.approx(2 * b * b - 2 * b)
@@ -239,7 +241,7 @@ def test_power_sums_match_reciprocal_root_sums():
 
 def test_tables_support_only_small_enough_sets():
     g = triangle(0.3)
-    tabs = table_dicts(compute_coefficient_tables(g, 3))
+    tabs = table_dicts(compute_coefficient_tables(g, 3), g)
     for t in range(1, 4):
         assert all(mask.bit_count() <= t for mask in tabs[t - 1])
     fam = enumerate_connected(g, 3)
@@ -347,7 +349,7 @@ def test_tables_and_pair_scan_match_literal_recurrence():
                 scans.append(scan)
             ct = compute_coefficient_tables(g, m)
             assert list(ct.pair_scan_max) == scans
-            tabs = table_dicts(ct)
+            tabs = table_dicts(ct, g)
             for (t, lmask), want in a.items():
                 got = tabs[t - 1][lmask]
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
@@ -386,7 +388,7 @@ def test_chunking_does_not_change_tables(monkeypatch):
     for g, m, want in cases:
         got = compute_coefficient_tables(g, m)
         assert got.pair_scan_max == want.pair_scan_max
-        for table, ref in zip(table_dicts(got), table_dicts(want)):
+        for table, ref in zip(table_dicts(got, g), table_dicts(want, g)):
             assert list(table) == list(ref)
             for mask, value in ref.items():
                 assert abs(table[mask] - value) <= 1e-13 * abs(value)
@@ -569,7 +571,7 @@ def test_weight_matches_definition_on_random_sets():
                           if v in labels)
             want *= e.activity.table(e.size)[pattern]
         assert cmath.isclose(set_weight(g, sum(1 << v for v in labels)), want)
-    singles = table_dicts(compute_coefficient_tables(g, 1))[0]
+    singles = table_dicts(compute_coefficient_tables(g, 1), g)[0]
     for v in range(9):
         assert cmath.isclose(singles[1 << v], set_weight(g, 1 << v))
 
@@ -577,3 +579,16 @@ def test_weight_matches_definition_on_random_sets():
 def test_rejects_bad_order():
     with pytest.raises(ValueError):
         compute_coefficient_tables(k2(), 0)
+
+
+def test_rejects_family_of_another_host():
+    # the tables read the family's edge arrays: tabulated for g1, g2's
+    # family gave g2's power sums without an error
+    g1, g2 = (random_connected_hypergraph(random.Random(seed), 6, 3, 3)
+              for seed in (1, 2))
+    with pytest.raises(ValueError, match="another host"):
+        compute_coefficient_tables(g1, 3, fam=enumerate_connected(g2, 3))
+    # an equal host is the same host
+    same = enumerate_connected(Hypergraph(g1.n, g1.edges), 3)
+    assert (power_sums(compute_coefficient_tables(g1, 3, fam=same))
+            == power_sums(compute_coefficient_tables(g1, 3)))

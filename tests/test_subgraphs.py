@@ -131,6 +131,9 @@ def test_count_bound_value():
     assert count_bound(10, 3, 2, 3) == pytest.approx(1330.03, abs=0.01)
     with pytest.raises(ValueError):
         count_bound(10, 0, 2, 3)
+    # (2e)^(t-1) passes the double range at t = 421
+    assert count_bound(1, 1, 2, 420) < math.inf
+    assert count_bound(1, 1, 2, 421) == math.inf
 
 
 def test_count_bound_holds_on_corpus(small_corpus):

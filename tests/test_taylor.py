@@ -1,7 +1,9 @@
 import cmath
+import gc
 import math
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -267,6 +269,20 @@ def test_zero_inside_disk_is_returned():
     assert ap.value == 0 and ap.log_estimate.real == -math.inf
 
 
+def _count_builds(mp) -> list[int]:
+    """Record, through the MonkeyPatch mp, the depth of every table build
+    the estimator makes."""
+    builds = []
+    real = taylor.compute_coefficient_tables
+
+    def counting(*args, **kwargs):
+        builds.append(args[1])
+        return real(*args, **kwargs)
+
+    mp.setattr(taylor, "compute_coefficient_tables", counting)
+    return builds
+
+
 def test_estimator_reuses_tables_across_arguments():
     g = path_graph(8, 0.3)
     est = PartitionEstimator(g)
@@ -380,10 +396,12 @@ def test_symmetric_host_mirrors_half_depth_tables(n, seed, activity):
     g = random_connected_hypergraph(random.Random(seed), n, 4, 4,
                                     activity=activity)
     assert g.all_symmetric()
-    est = PartitionEstimator(g)
-    p = est.power_sums_up_to(n)
+    with pytest.MonkeyPatch.context() as mp:
+        builds = _count_builds(mp)
+        est = PartitionEstimator(g)
+        p = est.power_sums_up_to(n)
     e = est.elementary()
-    assert est._state[0].m == n // 2
+    assert builds == [n // 2]
     p_direct, e_direct = _direct(g, n)
     for got, want in zip((p, e), (p_direct, e_direct)):
         assert len(got) == n
@@ -394,7 +412,7 @@ def test_symmetric_host_mirrors_half_depth_tables(n, seed, activity):
         assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
 
 
-def test_asymmetric_host_builds_full_depth_unchanged():
+def test_asymmetric_host_builds_full_depth_unchanged(monkeypatch):
     g = random_connected_hypergraph(random.Random(41), 9, 4, 4,
                                     activity="mixed")
     first = g.edges[0]
@@ -403,9 +421,10 @@ def test_asymmetric_host_builds_full_depth_unchanged():
     g = Hypergraph(g.n, (Hyperedge(first.vertices, TableActivity(
         tuple(values))),) + g.edges[1:])
     assert not g.all_symmetric()
+    builds = _count_builds(monkeypatch)
     est = PartitionEstimator(g)
     p = est.power_sums_up_to(g.n)
-    assert est._state[0].m == g.n
+    assert builds == [g.n]
     assert (p, est.elementary()) == _direct(g, g.n)
 
 
@@ -413,14 +432,7 @@ def test_symmetric_host_builds_tables_once(monkeypatch):
     # the benchmark's corpus calls on one host: every order past n // 2 is
     # served by the first snapshot that reaches it
     g = random_connected_hypergraph(random.Random(12), 12, 4, 4)
-    builds = []
-    real = taylor.compute_coefficient_tables
-
-    def counting(*args, **kwargs):
-        builds.append(args[1])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(taylor, "compute_coefficient_tables", counting)
+    builds = _count_builds(monkeypatch)
     est = PartitionEstimator(g)
     for lam in (0.3, 0.5 * cmath.exp(1j * math.pi / 3), 0.9, 1.5):
         for eps in (0.1, 0.01):
@@ -442,14 +454,15 @@ def test_symmetric_host_builds_tables_once(monkeypatch):
     assert builds == [4]
 
 
-def test_twenty_vertex_polynomial_path_answers():
+def test_twenty_vertex_polynomial_path_answers(monkeypatch):
     # m = 411 >= n: tables to depth 10 and the mirror give every
     # coefficient, where a depth-20 build did not finish within 30 s
     g = random_regular_graph(random.Random(1), 20, 3, 0.2)
+    builds = _count_builds(monkeypatch)
     est = PartitionEstimator(g)
     ap = est.approximate(0.97, 0.01)
     assert ap.evaluation == "polynomial" and ap.guaranteed
-    assert est._state[0].m == 10
+    assert builds == [10]
     assert rel_err(ap.value, exact_partition(g, 0.97)) <= 0.01
 
 
@@ -467,3 +480,27 @@ def test_one_build_makes_the_edge_arrays_once(monkeypatch):
     g = random_regular_graph(random.Random(1), 10, 3, 0.3)
     PartitionEstimator(g).power_sums_up_to(5)
     assert calls == [g]
+
+
+@pytest.mark.parametrize("call", [
+    lambda est: est.power_sums_up_to(5),
+    lambda est: est.approximate(0.3, 0.1),
+    lambda est: est.approximate(0.9, 0.1),
+], ids=["power-sums", "series", "polynomial"])
+def test_estimator_keeps_no_tables(monkeypatch, call):
+    # the snapshot is p and e: the tables and the family they were built
+    # from are dropped once their power sums are read
+    refs = []
+    real = taylor.compute_coefficient_tables
+
+    def watched(*args, **kwargs):
+        ctable = real(*args, **kwargs)
+        refs.extend((weakref.ref(kwargs["fam"]), weakref.ref(ctable)))
+        return ctable
+
+    monkeypatch.setattr(taylor, "compute_coefficient_tables", watched)
+    est = PartitionEstimator(path_graph(12, 0.5))
+    call(est)
+    gc.collect()
+    assert len(refs) == 2 and all(ref() is None for ref in refs)
+    assert len(est.elementary()) >= 5
