@@ -41,7 +41,7 @@ from .leeyang import (
 from .oracle import (
     DEFAULT_RESIDUAL_TOL,
     DEFAULT_VERTEX_CAP,
-    check_vertex_cap,
+    check_histogram_cap,
     coefficient_zeros,
     cut_histogram,
     exact_coefficients,
@@ -108,8 +108,11 @@ def parse_lambda(text: str) -> complex:
     raise CliInputError(f"cannot parse activity {text!r}; expected re or re,im")
 
 
-def _cnum(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _cnum(z: complex) -> list[float | None]:
+    """[re, im], a non-finite component as null, so reports stay strict
+    JSON."""
+    return [x if math.isfinite(x) else None
+            for x in (float(z.real), float(z.imag))]
 
 
 def _load_input(path: str) -> tuple[Hypergraph, str]:
@@ -282,7 +285,7 @@ def _cmd_exact(args) -> dict:
         result["z_multivariate"] = _cnum(
             exact_multivariate(g, lams, cap=args.oracle_cap))
     for key in ("z", "z_multivariate"):
-        if not all(map(math.isfinite, result.get(key, ()))):
+        if None in result.get(key, ()):
             raise HyperIsingError(
                 f"{key} overflows double precision on {g.n} vertices")
     t2 = time.perf_counter()
@@ -436,7 +439,7 @@ def _cmd_sweep(args) -> dict:
             n, degree = (int(x) for x in args.random_regular.split(","))
         except ValueError as exc:
             raise CliInputError("--random-regular expects N,DEGREE") from exc
-        check_vertex_cap(n, args.oracle_cap)
+        check_histogram_cap(n, args.oracle_cap)
         import random
 
         g = random_regular_graph(random.Random(args.seed), n, degree, 0.5)
@@ -445,10 +448,10 @@ def _cmd_sweep(args) -> dict:
     hist = cut_histogram(g, cap=args.oracle_cap)
     # each row puts its beta on every edge: one range per edge size
     ranges = [ising_ly_range(k) for k in {e.size for e in g.edges}]
+    betas = np.linspace(args.beta_from, args.beta_to, args.steps)
     rows = []
-    for beta in np.linspace(args.beta_from, args.beta_to, args.steps):
-        report = coefficient_zeros(uniform_beta_coefficients(hist, beta),
-                                   residual_tol=args.tol_residual)
+    for beta, coeffs in zip(betas, uniform_beta_coefficients(hist, betas)):
+        report = coefficient_zeros(coeffs, residual_tol=args.tol_residual)
         rows.append({
             "beta": float(beta),
             "in_range": all(r.contains(beta) for r in ranges),
@@ -501,8 +504,9 @@ def main(argv=None) -> int:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     report["timings"]["total"] = round(time.perf_counter() - start, 6)
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # strict JSON: a NaN or infinity anywhere raises before any output
+    text = json.dumps(report, indent=2, allow_nan=False)
+    sys.stdout.write(text + "\n")
     log.info("%s finished in %.3fs", args.command, time.perf_counter() - start)
     return 0
 

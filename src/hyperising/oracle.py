@@ -1,16 +1,18 @@
 """Brute-force ground truth for small instances.
 
 Exact partition values, exact polynomial coefficients, the cut histogram
-of a host, and residual-checked complex roots. Everything here enumerates
-all 2^n spin configurations, so it is only usable below the vertex cap
-(default 24); it exists to validate the polynomial-time pipeline, not to
-compete with it.
+of a host, and residual-checked complex roots. The values and
+coefficients enumerate all 2^n spin configurations, so they are only
+usable below the vertex cap (default 24); they exist to validate the
+polynomial-time pipeline, not to compete with it.
 
 With one Ising activity beta on every edge, a label set's weight is
 beta^(number of edges it cuts), so the coefficients at every beta follow
 from one integer histogram H[i, c] of label sets by size i and cut count
-c: c_i(beta) = sum_c H[i, c] beta^c. `cut_histogram` builds H in one 2^n
-pass; `uniform_beta_coefficients` evaluates it per beta.
+c: c_i(beta) = sum_c H[i, c] beta^c. `cut_histogram` builds H by a
+transfer matrix over a vertex order, in time exponential only in the
+order's frontier width, or by one 2^n pass where that is cheaper;
+`uniform_beta_coefficients` evaluates it on a grid of betas.
 
 Summations are performed blockwise with numpy's pairwise reduction in a
 fixed order, so results do not depend on how work might be partitioned.
@@ -19,6 +21,7 @@ fixed order, so results do not depend on how work might be partitioned.
 from __future__ import annotations
 
 import cmath
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +30,14 @@ from .errors import OracleCapError, RootConvergenceError, SchemaError
 from .hypergraph import Hypergraph, IsingActivity
 
 DEFAULT_VERTEX_CAP = 24
+# H counts in int64; its largest count, C(n, n // 2), passes 2^63 - 1 at
+# n = 67
+HISTOGRAM_MAX_N = 66
 # allowed |P(root)| relative to max |c_i| of a returned root
 DEFAULT_RESIDUAL_TOL = 1e-8
 _BLOCK_BITS = 20  # cap per-block scratch arrays at 2^20 entries
+
+log = logging.getLogger(__name__)
 
 # Trailing coefficients below this relative threshold are treated as zero
 # when determining the polynomial degree (cannot occur for finite Ising
@@ -43,6 +51,16 @@ def check_vertex_cap(n: int, cap: int) -> None:
         raise OracleCapError(
             f"exact enumeration over 2^{n} states exceeds cap n<={cap}"
         )
+
+
+def check_histogram_cap(n: int, cap: int) -> None:
+    """Refuse a cut histogram above the vertex cap, and at any cap where
+    its int64 counts could overflow."""
+    check_vertex_cap(n, cap)
+    if n > HISTOGRAM_MAX_N:
+        raise OracleCapError(
+            f"cut histogram counts on {n} vertices overflow int64"
+            f" (n <= {HISTOGRAM_MAX_N} at any cap)")
 
 
 def _blocks(n: int):
@@ -108,12 +126,84 @@ def exact_coefficients(g: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarr
     return c
 
 
-def cut_histogram(g: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
-    """Integer counts H[i, c] of the label sets of size i that cut exactly
-    c edges, shape (n + 1, |E| + 1). Activities are ignored: every edge is
-    read as Ising. H[i] == H[n - i], since a set and its complement cut the
-    same edges."""
-    check_vertex_cap(g.n, cap)
+def _transfer_steps(g: Hypergraph) -> list[tuple]:
+    """A greedy vertex order for the transfer matrix, one step per vertex:
+    (v, edges v completes, vertices summed out after v, frontier width
+    before v). The frontier is the processed vertices with an open edge,
+    one that has an unprocessed vertex. Each step takes the vertex that
+    leaves the smallest frontier, then the one completing most edges,
+    then the lowest label."""
+    incident = [[] for _ in range(g.n)]
+    for j, e in enumerate(g.edges):
+        for v in e.vertices:
+            incident[v].append(j)
+    left = [e.size for e in g.edges]  # unprocessed vertices per edge
+    open_edges = [len(js) for js in incident]
+    todo = set(range(g.n))
+    width = 0
+    steps = []
+    while todo:
+        best = None
+        for v in todo:
+            done = [j for j in incident[v] if left[j] == 1]
+            closing: dict[int, int] = {}
+            for j in done:
+                for u in g.edges[j].vertices:
+                    closing[u] = closing.get(u, 0) + 1
+            out = [u for u, c in closing.items() if open_edges[u] == c]
+            if not incident[v]:
+                out.append(v)
+            key = (width + 1 - len(out), -len(done), v)
+            if best is None or key < best[0]:
+                best = key, v, done, out
+        _, v, done, out = best
+        steps.append((v, done, sorted(out), width))
+        todo.remove(v)
+        for j in incident[v]:
+            left[j] -= 1
+        for j in done:
+            for u in g.edges[j].vertices:
+                open_edges[u] -= 1
+        width += 1 - len(out)
+    return steps
+
+
+def _transfer_histogram(g: Hypergraph, steps) -> np.ndarray:
+    """H by the transfer matrix: one flat (n + 1) x (|E| + 1) count array
+    per spin assignment of the frontier, bit p of the state index the
+    spin of the p-th frontier vertex ("+" when set)."""
+    width = len(g.edges) + 1
+    state = np.zeros((1, (g.n + 1) * width), dtype=np.int64)
+    state[0, 0] = 1
+    frontier: list[int] = []
+    for v, done, out, _ in steps:
+        # v joins as the top bit; its "+" half moves up one set size
+        plus = np.zeros_like(state)
+        plus[:, width:] = state[:, :-width]
+        state = np.concatenate((state, plus))
+        frontier.append(v)
+        # move each state up the cut axis by the completed edges it cuts;
+        # no count passes cut |E| into the next size, since no set cuts
+        # more edges
+        ids = np.arange(len(state))
+        cuts = np.zeros(len(state), dtype=np.int64)
+        for j in done:
+            cuts += _cut(ids, [frontier.index(u) for u in g.edges[j].vertices])
+        for k in range(1, len(done) + 1):
+            rows = np.flatnonzero(cuts == k)
+            state[rows, k:] = state[rows, :-k]
+            state[rows, :k] = 0
+        for u in out:
+            p = frontier.index(u)
+            cols = state.shape[1]
+            state = state.reshape(-1, 2, 1 << p, cols).sum(axis=1)
+            state = state.reshape(-1, cols)
+            frontier.pop(p)
+    return state.reshape(g.n + 1, width)
+
+
+def _blocked_histogram(g: Hypergraph) -> np.ndarray:
+    """H by one pass over all 2^n label sets, in blocks."""
     width = len(g.edges) + 1
     h = np.zeros((g.n + 1) * width, dtype=np.int64)
     for states in _blocks(g.n):
@@ -124,11 +214,52 @@ def cut_histogram(g: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
     return h.reshape(g.n + 1, width)
 
 
-def uniform_beta_coefficients(hist: np.ndarray, beta: complex) -> np.ndarray:
+def _transfer_pays(g: Hypergraph, steps) -> bool:
+    """Whether the transfer matrix over `steps` visits no more cells than
+    the blocked pass and keeps each state within 2^_BLOCK_BITS cells;
+    logs the route taken, the largest frontier width and the cells."""
+    row = (g.n + 1) * (len(g.edges) + 1)
+    widest = max((w for *_, w in steps), default=0)
+    cells = sum(row << (w + 1) for *_, w in steps)
+    blocked = (len(g.edges) + 1) << g.n
+    pays = cells <= blocked and row << (widest + 1) <= 1 << _BLOCK_BITS
+    log.info("cut histogram: %s, frontier width %d, %d cells",
+             "transfer matrix" if pays else "blocked pass", widest,
+             cells if pays else blocked)
+    return pays
+
+
+def cut_histogram(g: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
+    """Integer counts H[i, c] of the label sets of size i that cut exactly
+    c edges, shape (n + 1, |E| + 1). Activities are ignored: every edge is
+    read as Ising. H[i] == H[n - i], since a set and its complement cut the
+    same edges.
+
+    H is built by a transfer matrix over a greedy vertex order: a vertex
+    joins the frontier by doubling the states, each edge it completes
+    moves the states that cut it up the cut axis, and a vertex whose
+    edges are all complete is summed out. That visits sum 2^(w+1) (n+1)
+    (|E|+1) cells over the steps, w the frontier width before each step.
+    Where this exceeds the 2^n (|E|+1) cells of one pass over all label
+    sets, or its largest state would exceed 2^_BLOCK_BITS cells (dense
+    hosts, whose frontier grows towards n), H comes from that pass.
+    Both routes count exactly, so they give the same H."""
+    check_histogram_cap(g.n, cap)
+    steps = _transfer_steps(g)
+    if _transfer_pays(g, steps):
+        return _transfer_histogram(g, steps)
+    del steps  # so the blocked pass peaks no higher than on its own
+    return _blocked_histogram(g)
+
+
+def uniform_beta_coefficients(hist: np.ndarray, beta) -> np.ndarray:
     """Coefficients c_0..c_n of Z(lam) with activity beta on every edge,
-    c_i = sum_c hist[i, c] beta^c by Horner's scheme over the cut counts."""
-    return np.polynomial.polynomial.polyval(
-        complex(beta), hist.T.astype(np.complex128))
+    c_i = sum_c hist[i, c] beta^c by Horner's scheme over the cut counts.
+    An array of betas gives one row of coefficients per beta, each equal
+    to the one for that beta alone."""
+    c = np.polynomial.polynomial.polyval(
+        np.asarray(beta, dtype=np.complex128), hist.T.astype(np.complex128))
+    return np.moveaxis(c, 0, -1)
 
 
 def exact_multivariate(g: Hypergraph, lams, cap: int = DEFAULT_VERTEX_CAP) -> complex:

@@ -49,6 +49,11 @@ def cycle_graph(n, beta=0.5):
     return Hypergraph(n, tuple(sorted(edges, key=lambda e: e.vertices)))
 
 
+def complete_graph(n, beta=0.5):
+    return Hypergraph(n, tuple(ising_edge(pair, beta)
+                               for pair in itertools.combinations(range(n), 2)))
+
+
 def with_uniform_beta(g: Hypergraph, beta: float) -> Hypergraph:
     """g's vertices and edges with Ising activity beta on every edge."""
     return Hypergraph(g.n, tuple(
@@ -77,6 +82,17 @@ def set_weight(g: Hypergraph, mask: int) -> complex:
         if plus:
             w *= e.activity.table(e.size)[plus]
     return w
+
+
+def brute_cut_histogram(g: Hypergraph) -> list[list[int]]:
+    """H[i][c], the label sets of size i that cut exactly c edges, counted
+    over all 2^n subsets one by one; an edge on mask m is cut by the set s
+    when s meets it without covering it."""
+    masks = [sum(1 << v for v in e.vertices) for e in g.edges]
+    h = [[0] * (len(masks) + 1) for _ in range(g.n + 1)]
+    for s in range(1 << g.n):
+        h[s.bit_count()][sum(0 < s & m < m for m in masks)] += 1
+    return h
 
 
 def set_is_connected(g: Hypergraph, mask: int) -> bool:

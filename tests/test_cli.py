@@ -350,6 +350,51 @@ def test_sweep_over_oracle_cap_refused_at_once(capsys):
         assert states in err
 
 
+def test_sweep_past_int64_counts_refused_at_once(capsys):
+    # C(68, 34) > 2^63: the histogram's counts would overflow at any cap,
+    # so the host is refused before it is generated
+    start = time.perf_counter()
+    code, rep, err = run_cli(capsys, ["sweep", "--random-regular", "68,3",
+                                      "--oracle-cap", "100",
+                                      "--beta-from", "0.1", "--beta-to", "0.9"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and rep is None
+    assert err.startswith("refused:") and "int64" in err
+
+
+def test_sweep_cubic_host_at_the_default_cap_answers_at_once(capsys):
+    # the transfer matrix's frontier stays narrow here; one pass over all
+    # 2^24 label sets took 3 s
+    argv = ["sweep", "--random-regular", "24,3", "--seed", "1",
+            "--beta-from", "0", "--beta-to", "0.8", "--steps", "5"]
+    start = time.perf_counter()
+    code, rep, _ = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert all(row["on_circle"] for row in rep["result"]["rows"])
+
+
+def test_sweep_verbose_logs_the_histogram_route():
+    import subprocess
+
+    argv = [sys.executable, "-m", "hyperising.cli", "sweep",
+            "--random-regular", "18,3", "--seed", "7", "--beta-from", "0",
+            "--beta-to", "0.5", "--steps", "3"]
+    quiet = subprocess.run(argv, capture_output=True, text=True)
+    loud = subprocess.run(argv + ["--verbose"], capture_output=True, text=True)
+    assert quiet.returncode == loud.returncode == 0
+    assert quiet.stderr == ""
+    lines = [line for line in loud.stderr.splitlines() if "histogram" in line]
+    assert len(lines) == 1
+    assert re.fullmatch(r"INFO hyperising\.oracle: cut histogram: transfer"
+                        r" matrix, frontier width \d+, \d+ cells", lines[0])
+    # the report is unchanged
+    reports = [json.loads(p.stdout) for p in (quiet, loud)]
+    for rep in reports:
+        rep.pop("timings")
+    assert reports[0] == reports[1]
+
+
 def test_zeros_on_circle_for_clustered_ising_zeros(capsys, write_doc):
     # the host of test_sweep_high_beta_row_on_circle, read from a file:
     # `zeros` uses the oracle coefficients, whose rounding is not symmetric
@@ -664,3 +709,28 @@ def test_cli_defaults_are_the_library_constants(capsys, write_doc,
         for flag in flags:
             if flag in homes:
                 assert seen[flag[2:].replace("-", "_")] == homes[flag], flag
+
+
+def strict_json(text: str):
+    """Parse text as JSON, refusing NaN and infinities."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_reports_are_strict_json(capsys, write_doc, command):
+    code = main(command_argv(command, write_doc(K2_DOC)))
+    assert code == 0
+    assert strict_json(capsys.readouterr().out)["command"] == command
+
+
+def test_approx_on_a_zero_writes_null_log(capsys, write_doc):
+    # Z = (1 + 2 lam)(1 + lam / 2) vanishes at lam = -1/2, so log Z has
+    # real part -inf
+    path = write_doc({"n": 2, "edges": [{"v": [0, 1], "beta": 1.25}]})
+    code = main(["approx", path, "--lambda", "-0.5", "--epsilon", "0.1"])
+    assert code == 0
+    result = strict_json(capsys.readouterr().out)["result"]
+    assert result["log_z_estimate"] == [None, 0.0]
+    assert result["z_estimate"] == [0.0, 0.0]

@@ -1,24 +1,30 @@
 import cmath
+import logging
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyperising import (
+    Hypergraph,
     OracleCapError,
     SchemaError,
     exact_coefficients,
     exact_multivariate,
     exact_partition,
     polynomial_roots,
+    oracle,
     zero_report,
 )
-from hyperising.instances import random_connected_hypergraph
+from hyperising.instances import (random_connected_hypergraph,
+                                  random_regular_graph)
 from hyperising.oracle import cut_histogram, polyval, uniform_beta_coefficients
 
-from conftest import (disjoint_union, edgeless, k2, path_graph, single_edge,
+from conftest import (brute_cut_histogram, complete_graph, disjoint_union,
+                      edgeless, ising_edge, k2, path_graph, single_edge,
                       triangle, with_uniform_beta)
 
 
@@ -99,6 +105,108 @@ def test_cut_histogram_matches_oracle(n, seed, activity):
         got = uniform_beta_coefficients(hist, beta)
         want = exact_coefficients(with_uniform_beta(g, beta))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@st.composite
+def histogram_hosts(draw):
+    """Hosts with n = 0..12 and edges of size 2-4, some repeated: isolated
+    vertices, parallel edges, and two components when the vertices are
+    split in halves."""
+    n = draw(st.integers(0, 12))
+    parts = [range(n)]
+    if n >= 4 and draw(st.booleans()):
+        parts = [range(n // 2), range(n // 2, n)]
+    edges = []
+    for _ in range(draw(st.integers(0, 2 * n))):
+        part = draw(st.sampled_from(parts))
+        if len(part) >= 2:
+            k = draw(st.integers(2, min(4, len(part))))
+            verts = draw(st.lists(st.sampled_from(part), min_size=k,
+                                  max_size=k, unique=True))
+            edges.append(ising_edge(verts, 0.5))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    return Hypergraph(n, tuple(edges))
+
+
+@settings(derandomize=True, deadline=None)
+@given(g=histogram_hosts())
+@example(g=edgeless(0))
+@example(g=edgeless(7))
+@example(g=disjoint_union(Hypergraph(3, (ising_edge((0, 1), 0.5),) * 2),
+                          single_edge(4, 0.5)))
+def test_both_histogram_routes_count_exactly(g):
+    want = brute_cut_histogram(g)
+    steps = oracle._transfer_steps(g)
+    assert oracle._transfer_histogram(g, steps).tolist() == want
+    assert oracle._blocked_histogram(g).tolist() == want
+    assert cut_histogram(g).tolist() == want
+
+
+def _route(caplog, g) -> tuple[np.ndarray, str]:
+    with caplog.at_level(logging.INFO, logger="hyperising.oracle"):
+        hist = cut_histogram(g)
+    (message,) = caplog.messages
+    caplog.clear()
+    return hist, message
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_complete_graphs_take_the_blocked_pass(caplog, n):
+    # the frontier of K_n grows to n - 1, so the transfer matrix would
+    # visit more cells than the 2^n pass
+    g = complete_graph(n)
+    hist, message = _route(caplog, g)
+    assert message.startswith("cut histogram: blocked pass")
+    assert hist.tolist() == brute_cut_histogram(g)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cubic_hosts_take_the_transfer_matrix(caplog, seed):
+    g = random_regular_graph(random.Random(seed), 18, 3, 0.5)
+    hist, message = _route(caplog, g)
+    assert message.startswith("cut histogram: transfer matrix")
+    assert hist.tolist() == brute_cut_histogram(g)
+
+
+def _peak_bytes(fn, *args) -> int:
+    fn(*args)  # warm-up, so one-off allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_histogram_memory_stays_within_the_blocked_pass():
+    # K_16 takes the blocked pass itself: choosing the route adds nothing
+    # to its peak
+    k16 = complete_graph(16)
+    assert _peak_bytes(cut_histogram, k16) <= _peak_bytes(
+        oracle._blocked_histogram, k16)
+    # the blocked pass over this 24-vertex cubic host peaks at 27 271 544
+    # bytes (2^20-entry int64 blocks); the transfer matrix's states are
+    # bounded by 2^_BLOCK_BITS cells as well
+    g = random_regular_graph(random.Random(1), 24, 3, 0.5)
+    assert _peak_bytes(cut_histogram, g) <= 27_271_544
+
+
+def test_histogram_counts_refused_past_int64():
+    # C(66, 33) < 2^63 <= C(67, 33): the counts of 66 vertices still fit
+    hist = cut_histogram(edgeless(66), cap=66)
+    assert hist[:, 0].tolist() == [math.comb(66, i) for i in range(67)]
+    with pytest.raises(OracleCapError, match="int64"):
+        cut_histogram(edgeless(67), cap=100)
+
+
+def test_beta_grid_matches_each_beta_alone():
+    hist = cut_histogram(random_regular_graph(random.Random(7), 18, 3, 0.5))
+    betas = np.linspace(-1, 1, 21)
+    grid = uniform_beta_coefficients(hist, betas)
+    assert grid.shape == (21, 19)
+    for beta, row in zip(betas, grid):
+        assert np.array_equal(row, uniform_beta_coefficients(hist, beta))
 
 
 def test_disjoint_union_coefficients_convolve():
