@@ -46,7 +46,7 @@ from .oracle import (
     cut_histogram,
     exact_coefficients,
     exact_multivariate,
-    exact_partition,
+    polyval,
     uniform_beta_coefficients,
 )
 from .subgraphs import DEFAULT_SET_CAP, count_bound, enumerate_connected
@@ -274,10 +274,9 @@ def _cmd_exact(args) -> dict:
     g, digest = _load_input(args.input)
     lam = parse_lambda(args.lam)
     t1 = time.perf_counter()
-    value = exact_partition(g, lam, cap=args.oracle_cap)
     coeffs = exact_coefficients(g, cap=args.oracle_cap)
     result = {
-        "z": _cnum(value),
+        "z": _cnum(complex(polyval(coeffs, lam))),
         "coefficients": [_cnum(c) for c in coeffs],
     }
     if args.multivariate is not None:
@@ -486,11 +485,23 @@ def main(argv=None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # this call's level, and a handler on this call's stderr that alone
+    # writes the records, all undone on return: a process may run many calls
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level, propagate = log.level, log.propagate
+    log.addHandler(handler)
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    log.propagate = False
+    try:
+        return _run(args)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+        log.propagate = propagate
+
+
+def _run(args) -> int:
     start = time.perf_counter()
     try:
         report = _HANDLERS[args.command](args)

@@ -1,27 +1,22 @@
-"""Brute-force ground truth for small instances.
+"""Brute-force ground truth for small instances, to validate the
+polynomial-time pipeline: exact partition values and coefficients, the
+cut histogram of a host, and residual-checked roots, up to a vertex cap.
 
-Exact partition values, exact polynomial coefficients, the cut histogram
-of a host, and residual-checked complex roots. The values and
-coefficients enumerate all 2^n spin configurations, so they are only
-usable below the vertex cap (default 24); they exist to validate the
-polynomial-time pipeline, not to compete with it.
-
-With one Ising activity beta on every edge, a label set's weight is
-beta^(number of edges it cuts), so the coefficients at every beta follow
-from one integer histogram H[i, c] of label sets by size i and cut count
-c: c_i(beta) = sum_c H[i, c] beta^c. `cut_histogram` builds H by a
-transfer matrix over a vertex order, in time exponential only in the
-order's frontier width, or by one 2^n pass where that is cheaper;
-`uniform_beta_coefficients` evaluates it on a grid of betas.
-
-Summations are performed blockwise with numpy's pairwise reduction in a
-fixed order, so results do not depend on how work might be partitioned.
+One transfer matrix over a vertex order (Andrzejak, Discrete Math. 1998)
+sums w(S) prod_{v in S} lam_v over the label sets S by |S|, in time
+exponential only in the order's frontier width and in memory bounded by
+splitting large states on a frontier spin. With one Ising activity beta
+on every edge, c_i(beta) = sum_c H[i, c] beta^c for the integer
+histogram H of label sets by size i and cut count c: `cut_histogram`
+builds H and `uniform_beta_coefficients` evaluates it on a beta grid.
+The order, the splits and so every sum are fixed by the host.
 """
 
 from __future__ import annotations
 
 import cmath
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +25,11 @@ from .errors import OracleCapError, RootConvergenceError, SchemaError
 from .hypergraph import Hypergraph, IsingActivity
 
 DEFAULT_VERTEX_CAP = 24
-# H counts in int64; its largest count, C(n, n // 2), passes 2^63 - 1 at
-# n = 67
+# H's largest int64 count, C(n, n // 2), passes 2^63 - 1 at n = 67
 HISTOGRAM_MAX_N = 66
 # allowed |P(root)| relative to max |c_i| of a returned root
 DEFAULT_RESIDUAL_TOL = 1e-8
-_BLOCK_BITS = 20  # cap per-block scratch arrays at 2^20 entries
+_BLOCK_BITS = 20  # int64-sized cells per transfer state, sets per 2^n block
 
 log = logging.getLogger(__name__)
 
@@ -63,67 +57,12 @@ def check_histogram_cap(n: int, cap: int) -> None:
             f" (n <= {HISTOGRAM_MAX_N} at any cap)")
 
 
-def _blocks(n: int):
-    total = 1 << n
-    step = min(total, 1 << _BLOCK_BITS)
-    for start in range(0, total, step):
-        yield np.arange(start, min(start + step, total), dtype=np.int64)
-
-
 def _cut(states: np.ndarray, vertices) -> np.ndarray:
-    """Whether each subset bitmask in `states` cuts the edge on `vertices`:
-    meets it without covering it, so the edge is neither all "+" nor all
-    "-"."""
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
+    """Whether each bitmask in `states` cuts the edge on bits `vertices`:
+    meets it without covering it, so it is neither all "+" nor all "-"."""
+    mask = sum(1 << v for v in vertices)
     part = states & mask
     return (part != 0) & (part != mask)
-
-
-def _edge_weights(g: Hypergraph, states: np.ndarray) -> np.ndarray:
-    """prod_e phi_e(sigma^S) for each subset bitmask S in `states`.
-
-    Edges not meeting S contribute their normalized all-minus value 1, so
-    the product may run over every edge.
-    """
-    w = np.ones(states.shape, dtype=np.complex128)
-    for e in g.edges:
-        if isinstance(e.activity, IsingActivity):
-            w[_cut(states, e.vertices)] *= e.activity.beta
-        else:
-            local = np.zeros(states.shape, dtype=np.int64)
-            for j, v in enumerate(e.vertices):
-                local |= (states >> v & 1) << j
-            table = np.asarray(e.activity.values, dtype=np.complex128)
-            w *= table[local]
-    return w
-
-
-def exact_partition(g: Hypergraph, lam: complex,
-                    cap: int = DEFAULT_VERTEX_CAP) -> complex:
-    """Z(lam) = sum over subsets S of prod_e phi_e(S) * lam^|S|."""
-    check_vertex_cap(g.n, cap)
-    total = 0.0 + 0.0j
-    for states in _blocks(g.n):
-        w = _edge_weights(g, states)
-        pc = np.bitwise_count(states)
-        total += np.sum(w * np.power(complex(lam), pc))
-    return complex(total)
-
-
-def exact_coefficients(g: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
-    """Coefficients c_0..c_n of Z(lam), c_i = sum over |S|=i of the weight.
-
-    c_0 is forced to 1 by the all-minus normalization of every edge table.
-    """
-    check_vertex_cap(g.n, cap)
-    c = np.zeros(g.n + 1, dtype=np.complex128)
-    for states in _blocks(g.n):
-        w = _edge_weights(g, states)
-        pc = np.bitwise_count(states)
-        np.add.at(c, pc, w)
-    return c
 
 
 def _transfer_steps(g: Hypergraph) -> list[tuple]:
@@ -132,7 +71,8 @@ def _transfer_steps(g: Hypergraph) -> list[tuple]:
     before v). The frontier is the processed vertices with an open edge,
     one that has an unprocessed vertex. Each step takes the vertex that
     leaves the smallest frontier, then the one completing most edges,
-    then the lowest label."""
+    then the lowest label. Refuses a frontier past 62 vertices, so that
+    int64 row ids, one bit per vertex and the joining one, fit."""
     incident = [[] for _ in range(g.n)]
     for j, e in enumerate(g.edges):
         for v in e.vertices:
@@ -157,7 +97,9 @@ def _transfer_steps(g: Hypergraph) -> list[tuple]:
             if best is None or key < best[0]:
                 best = key, v, done, out
         _, v, done, out = best
-        steps.append((v, done, sorted(out), width))
+        if width > 62:
+            raise OracleCapError(f"frontier width {width} exceeds 62")
+        steps.append((v, [g.edges[j] for j in done], sorted(out), width))
         todo.remove(v)
         for j in incident[v]:
             left[j] -= 1
@@ -168,98 +110,97 @@ def _transfer_steps(g: Hypergraph) -> list[tuple]:
     return steps
 
 
-def _transfer_histogram(g: Hypergraph, steps) -> np.ndarray:
-    """H by the transfer matrix: one flat (n + 1) x (|E| + 1) count array
-    per spin assignment of the frontier, bit p of the state index the
-    spin of the p-th frontier vertex ("+" when set)."""
-    width = len(g.edges) + 1
-    state = np.zeros((1, (g.n + 1) * width), dtype=np.int64)
-    state[0, 0] = 1
-    frontier: list[int] = []
-    for v, done, out, _ in steps:
-        # v joins as the top bit; its "+" half moves up one set size
-        plus = np.zeros_like(state)
-        plus[:, width:] = state[:, :-width]
-        state = np.concatenate((state, plus))
-        frontier.append(v)
-        # move each state up the cut axis by the completed edges it cuts;
-        # no count passes cut |E| into the next size, since no set cuts
-        # more edges
-        ids = np.arange(len(state))
-        cuts = np.zeros(len(state), dtype=np.int64)
-        for j in done:
-            cuts += _cut(ids, [frontier.index(u) for u in g.edges[j].vertices])
-        for k in range(1, len(done) + 1):
-            rows = np.flatnonzero(cuts == k)
-            state[rows, k:] = state[rows, :-k]
-            state[rows, :k] = 0
-        for u in out:
-            p = frontier.index(u)
-            cols = state.shape[1]
-            state = state.reshape(-1, 2, 1 << p, cols).sum(axis=1)
-            state = state.reshape(-1, cols)
-            frontier.pop(p)
-    return state.reshape(g.n + 1, width)
+def _plan(steps, row: int) -> tuple[int, int]:
+    """The widest frontier of `steps`, and the cells visited at `row` a row."""
+    widths = [w for *_, w in steps]
+    return max(widths, default=0), sum(row << (w + 1) for w in widths)
 
 
-def _blocked_histogram(g: Hypergraph) -> np.ndarray:
-    """H by one pass over all 2^n label sets, in blocks."""
-    width = len(g.edges) + 1
-    h = np.zeros((g.n + 1) * width, dtype=np.int64)
-    for states in _blocks(g.n):
-        key = np.bitwise_count(states).astype(np.int64) * width
-        for e in g.edges:
-            key += _cut(states, e.vertices)
-        h += np.bincount(key, minlength=h.size)
-    return h.reshape(g.n + 1, width)
+def _transfer(steps, state: np.ndarray, lift, complete):
+    """The sum of the last rows of the transfer matrix over `steps` from
+    the one-row `state`, and the number of splits. Bit p of a row id is
+    the spin of the p-th frontier vertex ("+" when set); the first nfix
+    are fixed, in the low bits `fixed` of every id, so row r has id
+    fixed | r << nfix. A joining vertex takes the top bit, and `lift(state,
+    v, plus)` writes its "+" half into the zeros `plus`; `complete(state,
+    ids, edges)` weights the rows in place by the completed edges, each
+    with its vertices' positions. Before a doubling passes 2^_BLOCK_BITS
+    int64-sized cells, the free vertex summed out last is fixed: its "-"
+    rows run on and its "+" rows wait, disjoint work until it goes and
+    the same steps after it."""
+    cols = state.shape[1]
+    leaves = {u: i for i, (*_, out, _) in enumerate(steps) for u in out}
+    total, splits = 0, 0
+    todo = [(0, state, [], 0, 0)]  # (step, state, frontier, fixed, nfix)
+    while todo:
+        start, state, frontier, fixed, nfix = todo.pop()
+        for i in range(start, len(steps)):
+            v, done, out, _ = steps[i]
+            while 2 * state.nbytes > 8 << _BLOCK_BITS and nfix < len(frontier):
+                q = nfix + int(np.argmax([leaves[u] for u in frontier[nfix:]]))
+                state = state.reshape(-1, 2, 1 << q - nfix, cols)
+                frontier.insert(nfix, frontier.pop(q))
+                todo.append((i, state[:, 1].copy().reshape(-1, cols),
+                             frontier.copy(), fixed | 1 << nfix, nfix + 1))
+                state = state[:, 0].copy().reshape(-1, cols)
+                nfix, splits = nfix + 1, splits + 1
+            doubled = np.zeros((2 * len(state), cols), state.dtype)
+            doubled[:len(state)] = state
+            lift(state, v, doubled[len(state):])
+            state = doubled
+            frontier.append(v)
+            ids = fixed | np.arange(len(state), dtype=np.int64) << nfix
+            complete(state, ids, [(e, [frontier.index(u) for u in e.vertices])
+                                  for e in done])
+            for u in out:
+                p = frontier.index(u)
+                frontier.pop(p)
+                if p < nfix:  # drop its fixed bit
+                    fixed = fixed & ((1 << p) - 1) | fixed >> (p + 1) << p
+                    nfix -= 1
+                else:
+                    state = state.reshape(-1, 2, 1 << p - nfix, cols)
+                    state = state.sum(axis=1).reshape(-1, cols)
+        total = total + state[0]
+    return total, splits
 
 
-def _transfer_pays(g: Hypergraph, steps) -> bool:
-    """Whether the transfer matrix over `steps` visits no more cells than
-    the blocked pass and keeps each state within 2^_BLOCK_BITS cells;
-    logs the route taken, the largest frontier width and the cells."""
-    row = (g.n + 1) * (len(g.edges) + 1)
-    widest = max((w for *_, w in steps), default=0)
-    cells = sum(row << (w + 1) for *_, w in steps)
-    blocked = (len(g.edges) + 1) << g.n
-    pays = cells <= blocked and row << (widest + 1) <= 1 << _BLOCK_BITS
-    log.info("cut histogram: %s, frontier width %d, %d cells",
-             "transfer matrix" if pays else "blocked pass", widest,
-             cells if pays else blocked)
-    return pays
+def _edge_values(e, ids: np.ndarray, positions) -> np.ndarray:
+    """phi_e at each row id's spins, e's vertices at bits `positions`."""
+    if isinstance(e.activity, IsingActivity):  # no 2^|e| table
+        return np.where(_cut(ids, positions), e.activity.beta, 1.0)
+    local = sum((ids >> p & 1) << j for j, p in enumerate(positions))
+    return np.asarray(e.activity.values, dtype=np.complex128)[local]
 
 
-def cut_histogram(g: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
-    """Integer counts H[i, c] of the label sets of size i that cut exactly
-    c edges, shape (n + 1, |E| + 1). Activities are ignored: every edge is
-    read as Ising. H[i] == H[n - i], since a set and its complement cut the
-    same edges.
-
-    H is built by a transfer matrix over a greedy vertex order: a vertex
-    joins the frontier by doubling the states, each edge it completes
-    moves the states that cut it up the cut axis, and a vertex whose
-    edges are all complete is summed out. That visits sum 2^(w+1) (n+1)
-    (|E|+1) cells over the steps, w the frontier width before each step.
-    Where this exceeds the 2^n (|E|+1) cells of one pass over all label
-    sets, or its largest state would exceed 2^_BLOCK_BITS cells (dense
-    hosts, whose frontier grows towards n), H comes from that pass.
-    Both routes count exactly, so they give the same H."""
-    check_histogram_cap(g.n, cap)
+def _graded_sum(g: Hypergraph, lams) -> np.ndarray:
+    """sum_S prod_e phi_e(S) prod_{v in S} lams[v] by |S| (None: all 1)."""
     steps = _transfer_steps(g)
-    if _transfer_pays(g, steps):
-        return _transfer_histogram(g, steps)
-    del steps  # so the blocked pass peaks no higher than on its own
-    return _blocked_histogram(g)
+
+    def lift(s, v, plus):  # one set size up
+        plus[:, 1:] = s[:, :-1] if lams is None else lams[v] * s[:, :-1]
+
+    def complete(s, ids, edges):
+        if edges:
+            s *= math.prod(_edge_values(e, ids, p) for e, p in edges)[:, None]
+
+    c, splits = _transfer(steps, np.eye(1, g.n + 1, dtype=complex),
+                          lift, complete)
+    log.info("exact coefficients: transfer matrix, frontier width %d, %d"
+             " cells, %d splits", *_plan(steps, g.n + 1), splits)
+    return c
 
 
-def uniform_beta_coefficients(hist: np.ndarray, beta) -> np.ndarray:
-    """Coefficients c_0..c_n of Z(lam) with activity beta on every edge,
-    c_i = sum_c hist[i, c] beta^c by Horner's scheme over the cut counts.
-    An array of betas gives one row of coefficients per beta, each equal
-    to the one for that beta alone."""
-    c = np.polynomial.polynomial.polyval(
-        np.asarray(beta, dtype=np.complex128), hist.T.astype(np.complex128))
-    return np.moveaxis(c, 0, -1)
+def exact_coefficients(g: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
+    """Coefficients c_0..c_n of Z(lam), c_i the weight of the sets of size i."""
+    check_vertex_cap(g.n, cap)
+    return _graded_sum(g, None)
+
+
+def exact_partition(g: Hypergraph, lam: complex,
+                    cap: int = DEFAULT_VERTEX_CAP) -> complex:
+    """Z(lam) by Horner's scheme over the exact coefficients."""
+    return complex(polyval(exact_coefficients(g, cap=cap), lam))
 
 
 def exact_multivariate(g: Hypergraph, lams, cap: int = DEFAULT_VERTEX_CAP) -> complex:
@@ -270,14 +211,77 @@ def exact_multivariate(g: Hypergraph, lams, cap: int = DEFAULT_VERTEX_CAP) -> co
     lams = [complex(x) for x in lams]
     if len(lams) != g.n:
         raise SchemaError(f"expected {g.n} vertex activities, got {len(lams)}")
-    total = 0.0 + 0.0j
-    for states in _blocks(g.n):
-        w = _edge_weights(g, states)
-        vf = np.ones(states.shape, dtype=np.complex128)
-        for i, li in enumerate(lams):
-            vf[(states >> i & 1) == 1] *= li
-        total += np.sum(w * vf)
-    return complex(total)
+    return complex(_graded_sum(g, lams).sum())
+
+
+def _blocked_histogram(g: Hypergraph) -> np.ndarray:
+    """H by one pass over all 2^n label sets, in blocks."""
+    width = len(g.edges) + 1
+    h = np.zeros((g.n + 1) * width, dtype=np.int64)
+    step = 1 << min(g.n, _BLOCK_BITS)
+    for start in range(0, 1 << g.n, step):
+        states = np.arange(start, start + step, dtype=np.int64)
+        key = np.bitwise_count(states).astype(np.int64) * width
+        for e in g.edges:
+            key += _cut(states, e.vertices)
+        h += np.bincount(key, minlength=h.size)
+    return h.reshape(g.n + 1, width)
+
+
+def _transfer_pays(g: Hypergraph, steps) -> bool:
+    """Whether the transfer matrix over `steps` visits no more cells than
+    the blocked pass; logs the route, the largest frontier width and cells."""
+    widest, cells = _plan(steps, (g.n + 1) * (len(g.edges) + 1))
+    blocked = (len(g.edges) + 1) << g.n
+    pays = cells <= blocked
+    log.info("cut histogram: %s, frontier width %d, %d cells",
+             "transfer matrix" if pays else "blocked pass", widest,
+             cells if pays else blocked)
+    return pays
+
+
+def cut_histogram(g: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
+    """Integer counts H[i, c] of the label sets of size i that cut exactly
+    c edges, shape (n + 1, |E| + 1), every edge read as Ising. H[i] ==
+    H[n - i], since a set and its complement cut the same edges.
+
+    The transfer matrix, each completed edge moving the rows that cut it
+    up the cut axis, visits sum 2^(w+1) (n+1) (|E|+1) cells, w the
+    frontier width before each step. Where that exceeds the 2^n (|E|+1)
+    cells of one pass over all label sets (dense hosts, whose rows are
+    then mostly zero), H comes from that pass. Both count exactly."""
+    check_histogram_cap(g.n, cap)
+    steps = _transfer_steps(g)
+    if not _transfer_pays(g, steps):
+        del steps  # so the blocked pass peaks no higher than on its own
+        return _blocked_histogram(g)
+    width = len(g.edges) + 1
+
+    # a default: a closure cell would add to the blocked pass's peak
+    def lift(s, v, plus, k=width):  # one set size up
+        plus[:, k:] = s[:, :-k]
+
+    def complete(s, ids, edges):
+        # no set cuts over |E| edges: no count shifts into the next size
+        cuts = sum(_cut(ids, p) for _, p in edges)
+        for k in range(1, len(edges) + 1):
+            rows = np.flatnonzero(cuts == k)
+            s[rows, k:] = s[rows, :-k]
+            s[rows, :k] = 0
+
+    h, _ = _transfer(steps, np.eye(1, (g.n + 1) * width, dtype=np.int64),
+                     lift, complete)
+    return h.reshape(g.n + 1, width)
+
+
+def uniform_beta_coefficients(hist: np.ndarray, beta) -> np.ndarray:
+    """Coefficients c_0..c_n of Z(lam) with activity beta on every edge,
+    c_i = sum_c hist[i, c] beta^c by Horner's scheme over the cut counts.
+    An array of betas gives one row of coefficients per beta, each equal
+    to the one for that beta alone."""
+    c = np.polynomial.polynomial.polyval(
+        np.asarray(beta, dtype=np.complex128), hist.T.astype(np.complex128))
+    return np.moveaxis(c, 0, -1)
 
 
 def polyval(coeffs: np.ndarray, z) -> np.ndarray:

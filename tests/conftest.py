@@ -95,6 +95,22 @@ def brute_cut_histogram(g: Hypergraph) -> list[list[int]]:
     return h
 
 
+def brute_coefficients(g: Hypergraph, lams=None) -> list[complex]:
+    """c_i, the sum over the label sets S of size i of prod_e phi_e(S)
+    prod_{v in S} lams[v] (lams None: all 1), over all 2^n subsets one by
+    one. An edge's table is 1 at the all-"-" pattern, so prod_e phi_e(S)
+    is (-1)^|S| set_weight(g, S); each table is expanded once."""
+    tabled = Hypergraph(g.n, tuple(table_edge(e.vertices, e.activity.table(e.size))
+                                   for e in g.edges))
+    c = [0j] * (g.n + 1)
+    for s in range(1 << g.n):
+        w = (-1) ** s.bit_count() * set_weight(tabled, s)
+        if lams is not None:
+            w *= math.prod(lams[v] for v in range(g.n) if s >> v & 1)
+        c[s.bit_count()] += w
+    return c
+
+
 def set_is_connected(g: Hypergraph, mask: int) -> bool:
     """Whether the edge traces e ∩ S join the nonempty label set S at
     bitmask mask (union-find over consecutive vertices of each trace)."""

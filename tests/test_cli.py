@@ -395,6 +395,35 @@ def test_sweep_verbose_logs_the_histogram_route():
     assert reports[0] == reports[1]
 
 
+def test_verbose_is_set_per_call_in_one_process(capsys, write_doc):
+    # a verbose call after a quiet one logs, and a quiet one after a
+    # verbose one does not; `exact` makes one oracle pass
+    argv = ["exact", write_doc(PATH_DOC), "--lambda", "0.3"]
+    for verbose in (False, True, False, True):
+        code, rep, err = run_cli(capsys, argv + ["--verbose"] * verbose)
+        assert code == 0 and rep["command"] == "exact"
+        if not verbose:
+            assert err == ""
+            continue
+        oracle_line, done = err.splitlines()
+        assert re.fullmatch(r"INFO hyperising\.oracle: exact coefficients:"
+                            r" transfer matrix, frontier width \d+, \d+"
+                            r" cells, \d+ splits", oracle_line)
+        assert re.fullmatch(r"INFO hyperising: exact finished in [\d.]+s",
+                            done)
+
+
+def test_sweep_past_the_default_cap_answers_at_once(capsys):
+    # 2^50 label sets; the transfer matrix's frontier stays at width 10
+    argv = ["sweep", "--random-regular", "50,3", "--oracle-cap", "50",
+            "--beta-from", "0", "--beta-to", "0.5", "--steps", "3"]
+    start = time.perf_counter()
+    code, rep, _ = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert all(row["on_circle"] for row in rep["result"]["rows"])
+
+
 def test_zeros_on_circle_for_clustered_ising_zeros(capsys, write_doc):
     # the host of test_sweep_high_beta_row_on_circle, read from a file:
     # `zeros` uses the oracle coefficients, whose rounding is not symmetric

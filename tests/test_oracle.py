@@ -2,6 +2,7 @@ import cmath
 import logging
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,9 +10,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hyperising import (
+    Hyperedge,
     Hypergraph,
+    IsingActivity,
     OracleCapError,
+    PartitionEstimator,
     SchemaError,
+    TableActivity,
     exact_coefficients,
     exact_multivariate,
     exact_partition,
@@ -19,13 +24,14 @@ from hyperising import (
     oracle,
     zero_report,
 )
+from hyperising.coefficients import extend_power_sums
 from hyperising.instances import (random_connected_hypergraph,
                                   random_regular_graph)
 from hyperising.oracle import cut_histogram, polyval, uniform_beta_coefficients
 
-from conftest import (brute_cut_histogram, complete_graph, disjoint_union,
-                      edgeless, ising_edge, k2, path_graph, single_edge,
-                      triangle, with_uniform_beta)
+from conftest import (brute_coefficients, brute_cut_histogram, complete_graph,
+                      disjoint_union, edgeless, ising_edge, k2, path_graph,
+                      single_edge, triangle, with_uniform_beta)
 
 
 def test_edgeless_partition_is_binomial():
@@ -108,11 +114,12 @@ def test_cut_histogram_matches_oracle(n, seed, activity):
 
 
 @st.composite
-def histogram_hosts(draw):
-    """Hosts with n = 0..12 and edges of size 2-4, some repeated: isolated
-    vertices, parallel edges, and two components when the vertices are
-    split in halves."""
-    n = draw(st.integers(0, 12))
+def hosts(draw, max_n=12, activity=lambda draw, k: IsingActivity(0.5)):
+    """Hosts with n = 0..max_n and edges of size 2-4, some repeated:
+    isolated vertices, parallel edges, and two components when the
+    vertices are split in halves. `activity(draw, k)` gives the activity
+    of an edge of size k."""
+    n = draw(st.integers(0, max_n))
     parts = [range(n)]
     if n >= 4 and draw(st.booleans()):
         parts = [range(n // 2), range(n // 2, n)]
@@ -123,24 +130,81 @@ def histogram_hosts(draw):
             k = draw(st.integers(2, min(4, len(part))))
             verts = draw(st.lists(st.sampled_from(part), min_size=k,
                                   max_size=k, unique=True))
-            edges.append(ising_edge(verts, 0.5))
+            edges.append(Hyperedge(tuple(sorted(verts)), activity(draw, k)))
     if edges:
         edges += draw(st.lists(st.sampled_from(edges), max_size=3))
     return Hypergraph(n, tuple(edges))
 
 
 @settings(derandomize=True, deadline=None)
-@given(g=histogram_hosts())
+@given(g=hosts())
 @example(g=edgeless(0))
 @example(g=edgeless(7))
 @example(g=disjoint_union(Hypergraph(3, (ising_edge((0, 1), 0.5),) * 2),
                           single_edge(4, 0.5)))
 def test_both_histogram_routes_count_exactly(g):
     want = brute_cut_histogram(g)
-    steps = oracle._transfer_steps(g)
-    assert oracle._transfer_histogram(g, steps).tolist() == want
     assert oracle._blocked_histogram(g).tolist() == want
     assert cut_histogram(g).tolist() == want
+    # the transfer matrix on every host, at the default budget and at one
+    # that splits most states
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_transfer_pays", lambda g, steps: True)
+        assert cut_histogram(g).tolist() == want
+        row_bytes = 8 * (g.n + 1) * (len(g.edges) + 1)
+        mp.setattr(oracle, "_BLOCK_BITS", _four_row_budget(row_bytes))
+        assert cut_histogram(g).tolist() == want
+
+
+def _four_row_budget(row_bytes: int) -> int:
+    """The _BLOCK_BITS at which no transfer state passes four rows of
+    `row_bytes` bytes, so that all wider states split."""
+    return (row_bytes // 2 - 1).bit_length()
+
+
+def _unit_disk(rng: random.Random) -> complex:
+    return cmath.rect(rng.random(), rng.uniform(-math.pi, math.pi))
+
+
+@st.composite
+def oracle_hosts(draw):
+    """`hosts` with n <= 10 whose edges all carry Ising activities (beta
+    in [-1, 1]), all spin tables (entries in the unit disk), or a mix,
+    drawn from a seed so that each kind is as likely."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = rng.choice(["ising", "table", "mixed"])
+
+    def activity(draw, k):
+        if kind == "ising" or kind == "mixed" and rng.random() < 0.5:
+            return IsingActivity(rng.uniform(-1, 1))
+        return TableActivity((1 + 0j,) + tuple(
+            _unit_disk(rng) for _ in range((1 << k) - 1)))
+
+    return draw(hosts(10, activity))
+
+
+@settings(derandomize=True, deadline=None)
+@given(g=oracle_hosts(), seed=st.integers(0, 2 ** 32 - 1))
+@example(g=edgeless(0), seed=0)
+def test_transfer_matrix_matches_brute_force(g, seed):
+    # every weight and activity lies in the unit disk and c_0 = 1, so the
+    # sums are of terms no larger than the largest coefficient
+    rng = random.Random(seed)
+    lams = [_unit_disk(rng) for _ in range(g.n)]
+    want = np.array(brute_coefficients(g))
+    ising = all(isinstance(e.activity, IsingActivity) for e in g.edges)
+    if ising:
+        want_multi = sum(brute_coefficients(g, lams))
+    # at the default budget and at one that splits most states
+    for bits in (oracle._BLOCK_BITS, _four_row_budget(16 * (g.n + 1))):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_BLOCK_BITS", bits)
+            got = exact_coefficients(g)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            if ising:
+                got_multi = exact_multivariate(g, lams)
+                assert abs(got_multi - want_multi) <= 1e-12 * max(
+                    1.0, abs(want_multi))
 
 
 def _route(caplog, g) -> tuple[np.ndarray, str]:
@@ -190,6 +254,55 @@ def test_histogram_memory_stays_within_the_blocked_pass():
     # bounded by 2^_BLOCK_BITS cells as well
     g = random_regular_graph(random.Random(1), 24, 3, 0.5)
     assert _peak_bytes(cut_histogram, g) <= 27_271_544
+
+
+def test_coefficient_memory_stays_within_the_budget(monkeypatch):
+    # frontier width 6: the states stay far below the budget
+    g = random_regular_graph(random.Random(1), 24, 3, 0.5)
+    assert _peak_bytes(exact_coefficients, g) <= 1 << 20
+    # K_12 peaks at 1 527 384 bytes unsplit, its widest state 2^12 rows of
+    # 13 complex cells; a budget of 2^12 int64-sized cells splits it
+    monkeypatch.setattr(oracle, "_BLOCK_BITS", 12)
+    assert _peak_bytes(exact_coefficients, complete_graph(12)) <= 1 << 19
+
+
+def test_low_budget_splits_and_logs(caplog, monkeypatch):
+    g = random_connected_hypergraph(random.Random(4), 9, 4, 4,
+                                    activity="mixed")
+    want = exact_coefficients(g)
+    monkeypatch.setattr(oracle, "_BLOCK_BITS", 2)
+    with caplog.at_level(logging.INFO, logger="hyperising.oracle"):
+        got = exact_coefficients(g)
+    (message,) = caplog.messages
+    splits = re.fullmatch(r"exact coefficients: transfer matrix, frontier"
+                          r" width \d+, \d+ cells, (\d+) splits", message)
+    assert int(splits[1]) > 0
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_parity_above_the_default_cap():
+    # the 50-vertex cubic host of the `regular` benchmark workload: the
+    # estimator's power sums against those of the exact coefficients
+    g = random_regular_graph(random.Random(50), 50, 3, 0.2)
+    c = exact_coefficients(g, cap=50)
+    want = extend_power_sums([], [(-1) ** i * c[i] for i in range(1, 51)], 7)
+    got = PartitionEstimator(g).power_sums_up_to(7)
+    for a, b in zip(got, want):
+        assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+
+
+def test_histogram_matches_coefficients_above_the_default_cap():
+    g = random_regular_graph(random.Random(50), 50, 3, 0.5)
+    got = uniform_beta_coefficients(cut_histogram(g, cap=50), 0.5)
+    want = exact_coefficients(with_uniform_beta(g, 0.5), cap=50)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_frontier_past_62_refused_before_any_work():
+    # K_64's frontier holds 63 vertices when the last one joins: row ids
+    # of 64 bits, past the 63 of a non-negative int64
+    with pytest.raises(OracleCapError, match="frontier width 63"):
+        exact_coefficients(complete_graph(64), cap=64)
 
 
 def test_histogram_counts_refused_past_int64():
