@@ -5,11 +5,10 @@ cut histogram of a host, and residual-checked roots, up to a vertex cap.
 One transfer matrix over a vertex order (Andrzejak, Discrete Math. 1998)
 sums w(S) prod_{v in S} lam_v over the label sets S by |S|, in time
 exponential only in the order's frontier width and in memory bounded by
-splitting large states on a frontier spin. With one Ising activity beta
-on every edge, c_i(beta) = sum_c H[i, c] beta^c for the integer
-histogram H of label sets by size i and cut count c: `cut_histogram`
-builds H and `uniform_beta_coefficients` evaluates it on a beta grid.
-The order, the splits and so every sum are fixed by the host.
+splitting large states on a frontier spin; the order, the splits and so
+every sum are fixed by the host. With one Ising activity beta on every
+edge, c_i(beta) = sum_c H[i, c] beta^c for the histogram H of label sets
+by size i and cut count c, which `cut_histogram` builds.
 """
 
 from __future__ import annotations
@@ -122,12 +121,11 @@ def _transfer(steps, state: np.ndarray, lift, complete):
     the spin of the p-th frontier vertex ("+" when set); the first nfix
     are fixed, in the low bits `fixed` of every id, so row r has id
     fixed | r << nfix. A joining vertex takes the top bit, and `lift(state,
-    v, plus)` writes its "+" half into the zeros `plus`; `complete(state,
-    ids, edges)` weights the rows in place by the completed edges, each
-    with its vertices' positions. Before a doubling passes 2^_BLOCK_BITS
+    v, plus)` writes its "+" half into `plus`; `complete(state, ids,
+    edges)` weights the rows in place by the completed edges, each with
+    its vertices' positions. Before a doubling passes 2^_BLOCK_BITS
     int64-sized cells, the free vertex summed out last is fixed: its "-"
-    rows run on and its "+" rows wait, disjoint work until it goes and
-    the same steps after it."""
+    rows run on, its "+" rows wait (disjoint work until it goes)."""
     cols = state.shape[1]
     leaves = {u: i for i, (*_, out, _) in enumerate(steps) for u in out}
     total, splits = 0, 0
@@ -144,7 +142,7 @@ def _transfer(steps, state: np.ndarray, lift, complete):
                              frontier.copy(), fixed | 1 << nfix, nfix + 1))
                 state = state[:, 0].copy().reshape(-1, cols)
                 nfix, splits = nfix + 1, splits + 1
-            doubled = np.zeros((2 * len(state), cols), state.dtype)
+            doubled = np.empty((2 * len(state), cols), state.dtype)
             doubled[:len(state)] = state
             lift(state, v, doubled[len(state):])
             state = doubled
@@ -160,7 +158,7 @@ def _transfer(steps, state: np.ndarray, lift, complete):
                     nfix -= 1
                 else:
                     state = state.reshape(-1, 2, 1 << p - nfix, cols)
-                    state = state.sum(axis=1).reshape(-1, cols)
+                    state = (state[:, 0] + state[:, 1]).reshape(-1, cols)
         total = total + state[0]
     return total, splits
 
@@ -178,6 +176,7 @@ def _graded_sum(g: Hypergraph, lams) -> np.ndarray:
     steps = _transfer_steps(g)
 
     def lift(s, v, plus):  # one set size up
+        plus[:, 0] = 0
         plus[:, 1:] = s[:, :-1] if lams is None else lams[v] * s[:, :-1]
 
     def complete(s, ids, edges):
@@ -259,6 +258,7 @@ def cut_histogram(g: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
 
     # a default: a closure cell would add to the blocked pass's peak
     def lift(s, v, plus, k=width):  # one set size up
+        plus[:, :k] = 0
         plus[:, k:] = s[:, :-k]
 
     def complete(s, ids, edges):
