@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import functools
 import hashlib
 import json
@@ -316,28 +317,13 @@ def _cmd_zeros(args) -> dict:
                    {"parse": t1 - t0, "roots": t2 - t1})
 
 
-def _verdicts_payload(g: Hypergraph) -> dict:
-    check = check_activity_ranges(g)
-    return {
-        "edges": [
-            {
-                "index": v.index,
-                "size": v.size,
-                "kind": v.kind,
-                "passes": v.passes,
-                "detail": v.detail,
-            }
-            for v in check.edges
-        ],
-        "all_pass": check.all_pass,
-    }
-
-
 def _cmd_check_range(args) -> dict:
     t0 = time.perf_counter()
     g, digest = _load_input(args.input)
     t1 = time.perf_counter()
-    result = _verdicts_payload(g)
+    check = check_activity_ranges(g)
+    result = {"edges": [dataclasses.asdict(v) for v in check.edges],
+              "all_pass": check.all_pass}
     t2 = time.perf_counter()
     return _report("check-range", digest, {}, result, result["all_pass"],
                    {"parse": t1 - t0, "check": t2 - t1})
@@ -505,10 +491,7 @@ def _run(args) -> int:
     start = time.perf_counter()
     try:
         report = _HANDLERS[args.command](args)
-    except (CliInputError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliInputError, SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except HyperIsingError as exc:

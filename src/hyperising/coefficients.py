@@ -56,7 +56,9 @@ reads each subset S2 at the value of S2's own class, so no map between
 local orders is needed. When no two edges share a table id, a key pins
 down the edges its set meets, so keying is skipped and every set is its
 own class. Classes are numbered in the order of their sorted keys. The
-host's edge arrays come with the family, built once by the enumeration.
+host's incidence arrays come with the family, built once by the
+enumeration; the spin tables are built here alone, each distinct
+(size, activity) table once, back to back in one flat array.
 The finished tables are value arrays aligned with the rows of the
 family's size arrays, smaller sets first, and p_t is their correctly
 rounded sum; the table does not keep the family.
@@ -85,6 +87,8 @@ from .subgraphs import ConnectedFamily, enumerate_connected
 _LATTICE_CELLS = 1 << 17
 # (set, vertex, incident edge) cells per chunk of structure keys
 _KEY_CELLS = 1 << 17
+# spin-table entries per host (1 GiB), which keeps table codes in int64
+_TABLE_ENTRIES = 1 << 26
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,35 +107,34 @@ class CoefficientTable:
 
 
 def _edge_products(sets: np.ndarray, inc: np.ndarray, ev: np.ndarray,
-                   tab: np.ndarray) -> np.ndarray:
+                   flat: np.ndarray, start: np.ndarray) -> np.ndarray:
     """E[j, x] = product of the edge weights when the subset of sets[j] at
     local mask x is "+" and every other vertex is "-".
 
     Only the edges meeting sets[j] enter the product, each read from its
-    spin table at the pattern x puts on the edge. The table codes of all
-    2^k masks are built by doubling over the local vertices, and the
-    product takes one edge slot at a time, in ascending slot order, into
-    one lattice.
+    spin table, flat[start[e]:], at the pattern x puts on the edge. The
+    table codes of all 2^k masks are built by doubling over the local
+    vertices, and the product takes one edge slot at a time, in ascending
+    slot order, into one lattice.
     """
     nsets, k = sets.shape
-    dummy = len(tab) - 1
+    dummy = len(start) - 1
     # slot[s, j]: the distinct edges meeting set j, at least one per set;
-    # repeats and padding are the dummy edge, whose table is all ones
+    # repeats and padding are the dummy edge, whose table is a lone 1
     slot = np.sort(inc[sets].reshape(nsets, -1), axis=1)
     slot[:, 1:][slot[:, 1:] == slot[:, :-1]] = dummy
     slot = np.sort(slot, axis=1)
     slot = slot[:, :max(1, np.count_nonzero(slot.min(axis=0) < dummy))].T
     # place[s, i, j] = 2^p when the i-th vertex of set j is the p-th
     # vertex of edge slot s, so the table code of local mask x is the
-    # slot's offset plus sum_i bit_i(x) * place[s, i, j]
+    # slot's start plus sum_i bit_i(x) * place[s, i, j]
     hit = ev[slot][..., None] == sets[None, :, None, :]
     place = ((1 << np.arange(ev.shape[1])) @ hit).transpose(0, 2, 1)
     codes = np.empty((len(slot), 1 << k, nsets), dtype=np.int64)
-    codes[:, 0] = slot * tab.shape[1]
+    codes[:, 0] = start[slot]
     for b in range(k):
         np.add(codes[:, :1 << b], place[:, b:b + 1],
                out=codes[:, 1 << b:2 << b])
-    flat = tab.ravel()
     e = np.take(flat, codes[0])
     buf = np.empty_like(e)
     for s in range(1, len(codes)):
@@ -139,33 +142,37 @@ def _edge_products(sets: np.ndarray, inc: np.ndarray, ev: np.ndarray,
     return e.T
 
 
-def _keying(g: Hypergraph, inc_pos: np.ndarray, depth: int) -> tuple | None:
-    """(tid, order_free) for `_structure_classes`, or None when every set
-    is its own class: when no two edges share a table id (equal keys
-    would then put each edge position on the same host vertex, so only
-    sets of isolated vertices could merge) or a slot code would not fit
-    in int64.
-
-    tid[e] is shared exactly by the edges of one size with equal
-    activities (the dummy edge has its own); order_free[id] says whether
-    that table is unchanged by every permutation of the edge's positions
-    (true of every Ising edge), i.e. reads only the number of "+"
-    positions.
+def _spin_tables(g: Hypergraph, inc_pos: np.ndarray, depth: int) -> tuple:
+    """(flat, start, keying): each distinct (size, activity) spin table
+    once, back to back in table-id order, then the dummy edge's lone 1,
+    edge e's table starting at flat[start[e]]; and (tid, order_free) for
+    `_structure_classes`, or None when every set is its own class: when
+    no two edges share a table id (equal keys would then put each edge
+    position on the same host vertex, so only sets of isolated vertices
+    could merge) or a slot code would not fit in int64. order_free[tid[e]]
+    says whether edge e's table reads only the number of "+" positions
+    (true of every Ising edge). Tables past _TABLE_ENTRIES entries in all
+    are refused with MemoryCapError before any is built.
     """
     ids: dict = {}
     tid = np.asarray([ids.setdefault((e.size, e.activity), len(ids))
                       for e in g.edges] + [len(ids)])
-    if len(ids) == len(g.edges):
-        return None
-    if len(tid) * _trace_codes(depth, inc_pos) >= 1 << 63:
-        return None
+    if sum(1 << size for size, _ in ids) > _TABLE_ENTRIES:
+        raise MemoryCapError(f"spin tables exceed {_TABLE_ENTRIES} entries")
+    flat = np.array([v for size, act in ids for v in act.table(size)] + [1],
+                    dtype=np.complex128)
+    offset = np.cumsum([0] + [1 << size for size, _ in ids])
+    start = offset[tid]
+    if (len(ids) == len(g.edges)
+            or len(tid) * _trace_codes(depth, inc_pos) >= 1 << 63):
+        return flat, start, None
     order_free = [True] * (len(ids) + 1)
-    for (size, act), i in ids.items():
-        table = np.asarray(act.table(size))
+    for i, (size, _) in enumerate(ids):
+        table = flat[offset[i]:offset[i + 1]]
         plus = np.bitwise_count(np.arange(1 << size))
         order_free[i] = all(len(set(table[plus == c].tolist())) == 1
                             for c in range(size + 1))
-    return tid, np.asarray(order_free)
+    return flat, start, (tid, np.asarray(order_free))
 
 
 def _trace_codes(k: int, inc_pos: np.ndarray) -> int:
@@ -341,8 +348,9 @@ def compute_coefficient_tables(
     """Run the coefficient recurrence to order m over the host's connected
     label sets. The family saturates at the host size, so orders beyond n
     cover the same sets; a given family must be g's, since the tables read
-    its edge arrays (ValueError otherwise). A family of 2^31 sets or more
-    is refused with MemoryCapError before any table is built."""
+    its edge arrays (ValueError otherwise). A family of 2^31 sets or more,
+    or spin tables past _TABLE_ENTRIES, are refused with MemoryCapError
+    before any table is built."""
     if m < 1:
         raise ValueError("order m must be >= 1")
     depth = max(1, min(m, g.n))
@@ -356,8 +364,8 @@ def compute_coefficient_tables(
     if ends[-1] >= 1 << 31:
         raise MemoryCapError(f"{ends[-1]} label sets overflow int32 indices")
 
-    inc, inc_pos, ev, tab = fam.arrays
-    keying = _keying(g, inc_pos, depth)
+    inc, inc_pos, ev = fam.arrays
+    flat, start, keying = _spin_tables(g, inc_pos, depth)
     # values[t, c]: the order-t coefficient of the sets of class c; cls
     # maps each family row to its class
     cls = np.empty(ends[-1], dtype=np.int64)
@@ -391,7 +399,7 @@ def compute_coefficient_tables(
         for lo in range(0, len(reps), step):
             hi = min(lo + step, len(reps))
             pick = reps[lo:hi]
-            e = _edge_products(sets[pick], inc, ev, tab)
+            e = _edge_products(sets[pick], inc, ev, flat, start)
             row_l, row_c, row_i, row_coef, row_mult, row_r = _size_rows(
                 idx[pick], e, k, m)
             # every S2 but L itself is a smaller set, finished in an

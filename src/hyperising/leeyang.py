@@ -167,8 +167,8 @@ class TightWitness:
 
     For activities below the lower endpoint the real bracket
     (poly_at_0 > 0 > poly_at_1) is recorded together with the bisection
-    root in (0, 1); `edge_size_used` is 2 when beta > 1, where the size-2
-    edge already fails, and k otherwise.
+    root in (0, 1), which is the witness root; `edge_size_used` is 2
+    when beta > 1, where the size-2 edge already fails, and k otherwise.
     """
 
     k: int
@@ -222,7 +222,20 @@ def off_circle_witness(k: int, beta: float,
         raise HyperIsingError(
             f"the witness polynomial of degree {size} overflows double precision")
     c = witness_polynomial(size, beta)
-    roots = polynomial_roots(c, tol=residual_tol)
+    if beta < rng.lo:
+        # P(0) > 0 > P(1): the bisection root in (0, 1) is itself a zero
+        # off the circle, so no companion matrix is needed
+        sign_change = (float(polyval(c, 0.0).real),
+                       2 * beta * (2.0 ** (size - 1) - 1) + 2)
+        bracket = _bisect_unit_interval(c)
+        roots = np.asarray([bracket], dtype=np.complex128)
+        worst = float(abs(polyval(c, roots[0])) / np.max(np.abs(c)))
+        if worst > residual_tol:
+            raise RootConvergenceError(f"root residual {worst:.3e} above"
+                                       f" tolerance {residual_tol:.1e}")
+    else:
+        sign_change = bracket = None
+        roots = polynomial_roots(c, tol=residual_tol)
     deviations = np.abs(np.abs(roots) - 1.0)
     best = int(np.argmax(deviations))
     witness = complex(roots[best])
@@ -231,13 +244,6 @@ def off_circle_witness(k: int, beta: float,
         raise RootConvergenceError(
             f"no root strayed beyond 10x circle tolerance (max {deviation:.3e})"
         )
-    sign_change = None
-    bracket = None
-    if beta < rng.lo:
-        at_zero = float(polyval(c, 0.0).real)
-        at_one = 2 * beta * (2.0 ** (size - 1) - 1) + 2
-        sign_change = (at_zero, at_one)
-        bracket = _bisect_unit_interval(c)
     return TightWitness(
         k=k,
         beta=beta,

@@ -9,9 +9,10 @@ deduplicated. Every connected set of size s > 1 contains a connected
 subset of size s-1, so the growth procedure is exhaustive. Each size is
 one (count, s) int64 array of ascending rows in lexicographic order, the
 one form of a label set from here through the tables to the power sums.
-The family records its host and keeps the host's padded edge arrays,
-built once here, so the coefficient tables of the same family read them
-instead of building them again, and refuse a family of another host.
+The family records its host and keeps the host's incidence arrays, built
+once here, so the coefficient tables of the same family read them instead
+of building them again, and refuse a family of another host. Enumeration
+needs no spin table: the coefficient tables build those themselves.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ class ConnectedFamily:
     (count, s) array: parents[s-1][j, b] is the row of by_size[s-2]
     holding set j minus its b-th vertex, or -1 when that set is
     disconnected (always -1 for s = 1: the empty set is no label set).
-    arrays is the host's (inc, inc_pos, ev, tab) from `_edge_arrays`, the
-    edge data the coefficient tables read too.
+    arrays is the host's incidence (inc, inc_pos, ev) from `_edge_arrays`,
+    which the coefficient tables read too; it holds no spin table.
     """
 
     host: Hypergraph
@@ -58,26 +59,23 @@ class ConnectedFamily:
 
 
 def _edge_arrays(g: Hypergraph):
-    """Padded edge data: incident edge ids per vertex and the vertex's
-    position in each, vertex ids per edge (padded with n, which is no
-    vertex) and spin tables per edge. The extra last edge meets nothing
-    and has an all-ones table, so it pads every slot, at position 0,
-    without changing a product."""
+    """Padded incidence: incident edge ids per vertex and the vertex's
+    position in each, and vertex ids per edge (padded with n, which is no
+    vertex). The extra last edge meets nothing, so it pads every slot, at
+    position 0."""
     dummy = len(g.edges)
     inc = np.full((g.n, max(1, g.max_degree)), dummy, dtype=np.int64)
     inc_pos = np.zeros_like(inc)
     degree = [0] * g.n
     width = max(1, g.max_edge_size)
     ev = np.full((dummy + 1, width), g.n, dtype=np.int64)
-    tab = np.ones((dummy + 1, 1 << width), dtype=np.complex128)
     for i, e in enumerate(g.edges):
         ev[i, :e.size] = e.vertices
-        tab[i, :1 << e.size] = e.activity.table(e.size)
         for place, v in enumerate(e.vertices):
             inc[v, degree[v]] = i
             inc_pos[v, degree[v]] = place
             degree[v] += 1
-    return inc, inc_pos, ev, tab
+    return inc, inc_pos, ev
 
 
 def _check_cap(stored: int, set_cap: int, size: int) -> None:
@@ -100,7 +98,7 @@ def enumerate_connected(g: Hypergraph, t: int,
         raise ValueError("size budget t must be >= 1")
     stored = g.n
     _check_cap(stored, set_cap, 1)
-    arrays = inc, _, ev, _ = _edge_arrays(g)
+    arrays = inc, _, ev = _edge_arrays(g)
     near = ev[inc].reshape(g.n, inc.shape[1] * ev.shape[1])
     sets = np.arange(g.n, dtype=np.int64)[:, None]
     by_size, parents = [sets], [np.full((g.n, 1), -1, dtype=np.int64)]

@@ -207,6 +207,35 @@ def test_tight_example_command(capsys):
     assert code == 1 and rep is None
 
 
+@pytest.mark.parametrize("k", [59, 60, 200, 1024])
+def test_tight_example_below_range_at_high_degree(capsys, k):
+    code, rep, _ = run_cli(capsys, ["tight-example", "--k", str(k),
+                                    "--beta", "-0.5"])
+    assert code == 0
+    res = rep["result"]
+    assert res["witness_root"] == [res["bracket_root"], 0.0]
+    assert res["circle_deviation"] > 1e-5
+
+
+@pytest.mark.parametrize("k", [40, 70])
+def test_oversized_spin_table_refused_before_it_is_built(capsys, write_doc,
+                                                        k):
+    # enumeration reads no spin table; the coefficient tables refuse the
+    # 2^k entries of a k-vertex edge instead of expanding them (2^70 is
+    # past int64 too)
+    path = write_doc({"n": k, "edges": [{"v": list(range(k)),
+                                         "beta": 0.5}]})
+    code, rep, _ = run_cli(capsys, ["enumerate", path, "--t", "1"])
+    assert code == 0 and rep["result"]["counts"] == {"1": k}
+    for argv in (["coeffs", path, "--m", "1"],
+                 ["approx", path, "--lambda", "0.01", "--epsilon", "0.1"]):
+        start = time.perf_counter()
+        code, rep, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and rep is None
+        assert err.startswith("refused:") and "spin tables" in err
+
+
 def test_mcap_refusal_and_flag_override(capsys, write_doc, monkeypatch):
     doc = {"n": 8, "edges": [{"v": [i, i + 1], "beta": 0.5} for i in range(7)]}
     path = write_doc(doc)

@@ -12,6 +12,7 @@ from hyperising import (
     Hyperedge,
     Hypergraph,
     IsingActivity,
+    MemoryCapError,
     TableActivity,
     compute_coefficient_tables,
     elementary_to_coefficients,
@@ -28,8 +29,9 @@ from hyperising.instances import (random_connected_hypergraph,
 from hyperising.subgraphs import _edge_arrays
 
 from conftest import (brute_connected_sets, disjoint_union, edgeless,
-                      ising_edge, k2, max_coeff_rel_err, set_weight,
-                      single_edge, table_dicts, triangle, with_uniform_beta)
+                      ising_edge, k2, max_coeff_rel_err, path_graph,
+                      set_weight, single_edge, table_dicts, triangle,
+                      with_uniform_beta)
 
 
 def test_insect_weight_examples():
@@ -296,8 +298,8 @@ def literal_recurrence_hosts():
 def class_counts(g: Hypergraph, t: int) -> list[tuple[int, int]]:
     """(sets, classes) of each size up to t."""
     fam = enumerate_connected(g, t)
-    inc, inc_pos, _, _ = fam.arrays
-    keying = coefficients._keying(g, inc_pos, t)
+    inc, inc_pos, _ = fam.arrays
+    keying = coefficients._spin_tables(g, inc_pos, t)[2]
     out = []
     for sets in fam.by_size:
         if len(sets):
@@ -399,20 +401,26 @@ def lattice_cases(draw):
     """A host of 8 to 10 vertices with Ising and table edges of size 2 to
     4, some repeated as parallel edges, and 2 to 4 label sets of size 8 or
     more. Degrees differ, so incidence rows are padded with the dummy
-    edge; the sets need not be connected."""
+    edge; the sets need not be connected. The Ising edges draw beta from
+    a pool of at most three, and a table edge may take an earlier table of
+    its size, so several edges read one stored table."""
     n = draw(st.integers(8, 10))
     weights = st.complex_numbers(max_magnitude=2, allow_nan=False,
                                  allow_infinity=False)
+    betas = draw(st.lists(st.floats(-1, 1), min_size=1, max_size=3))
+    tables = {}
     edges = []
     for _ in range(draw(st.integers(1, 2 * n))):
         verts = tuple(sorted(draw(st.sets(st.integers(0, n - 1),
                                           min_size=2, max_size=4))))
         if draw(st.booleans()):
-            activity = IsingActivity(draw(st.floats(-1, 1)))
+            activity = IsingActivity(draw(st.sampled_from(betas)))
+        elif len(verts) in tables and draw(st.booleans()):
+            activity = tables[len(verts)]
         else:
             size = (1 << len(verts)) - 1
-            activity = TableActivity((1 + 0j,) + tuple(draw(st.lists(
-                weights, min_size=size, max_size=size))))
+            activity = tables[len(verts)] = TableActivity((1 + 0j,) + tuple(
+                draw(st.lists(weights, min_size=size, max_size=size))))
         edges += [Hyperedge(verts, activity)] * draw(st.integers(1, 2))
     k = draw(st.integers(8, n))
     sets = [sorted(draw(st.permutations(range(n)))[:k])
@@ -426,8 +434,9 @@ def test_edge_products_match_set_weights(case):
     # E[j, x] = (-1)^|x| w(x) for the subset x of sets[j], and the rows of
     # a set do not depend on the other sets passed with it
     g, sets = case
-    inc, _, ev, tab = _edge_arrays(g)
-    e = coefficients._edge_products(sets, inc, ev, tab)
+    inc, inc_pos, ev = _edge_arrays(g)
+    tables = coefficients._spin_tables(g, inc_pos, sets.shape[1])[:2]
+    e = coefficients._edge_products(sets, inc, ev, *tables)
     assert e.shape == (len(sets), 1 << sets.shape[1])
     for row, labels in zip(e.tolist(), sets.tolist()):
         for x, got in enumerate(row):
@@ -435,8 +444,10 @@ def test_edge_products_match_set_weights(case):
             want = (-1) ** x.bit_count() * set_weight(g, mask)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
     cut = len(sets) // 2
-    split = np.vstack([coefficients._edge_products(sets[:cut], inc, ev, tab),
-                       coefficients._edge_products(sets[cut:], inc, ev, tab)])
+    split = np.vstack([coefficients._edge_products(sets[:cut], inc, ev,
+                                                   *tables),
+                       coefficients._edge_products(sets[cut:], inc, ev,
+                                                   *tables)])
     assert np.array_equal(split, e)
 
 
@@ -505,6 +516,42 @@ def test_table_build_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 160 * 2 ** 20
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_edge_memory_stays_within_the_distinct_tables():
+    # a 200-vertex path with one 16-vertex edge: each distinct spin table
+    # is held once, by the table build alone. A table per edge padded to
+    # 2^16 entries, built with the family, took about 204 MiB in both
+    path = path_graph(200)
+    g = Hypergraph(200, path.edges + (ising_edge(range(16), 0.01),))
+    assert traced_peak(lambda: enumerate_connected(g, 3)) <= 4 * 2 ** 20
+    build = traced_peak(lambda: compute_coefficient_tables(g, 3))
+    assert build <= 16 * 2 ** 20
+
+
+def test_spin_tables_count_each_distinct_activity_once(monkeypatch):
+    # two 3-edges at one beta share 8 entries and the 2-edge adds 4; a
+    # 3-edge at another beta adds 8 more, past a cap of 16
+    monkeypatch.setattr(coefficients, "_TABLE_ENTRIES", 16)
+    edges = (ising_edge((0, 1, 2), 0.2), ising_edge((1, 3), 0.2),
+             ising_edge((2, 3, 4), 0.2))
+    g = Hypergraph(5, edges)
+    flat, start, _ = coefficients._spin_tables(g, _edge_arrays(g)[1], 3)
+    assert len(flat) == 13 and start.tolist() == [0, 8, 0, 12]
+    assert flat[-1] == 1
+    more = Hypergraph(5, edges + (ising_edge((0, 3, 4), 0.3),))
+    with pytest.raises(MemoryCapError, match="16"):
+        compute_coefficient_tables(more, 3)
+    compute_coefficient_tables(g, 3)
 
 
 def test_host_past_62_vertices():

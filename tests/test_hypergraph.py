@@ -15,7 +15,7 @@ from hyperising import (
     hypergraph_to_doc,
     parse_hypergraph,
 )
-from hyperising.coefficients import _edge_products
+from hyperising.coefficients import _edge_products, _spin_tables
 from hyperising.instances import random_connected_hypergraph
 
 from conftest import (disjoint_union, ising_edge, k2, label_sets, path3,
@@ -119,12 +119,13 @@ def test_induced_nesting_by_enumeration():
     assert any(isinstance(e.activity, TableActivity) for e in hosts[-1].edges)
     for g in hosts:
         fam = enumerate_connected(g, g.n)
-        inc, _, ev, tab = fam.arrays
+        inc, inc_pos, ev = fam.arrays
+        tables = _spin_tables(g, inc_pos, g.n)[:2]
         for k in range(1, g.n + 1):
             labs = fam.sets_of_size(k)
             if not len(labs):
                 break
-            lattice = _edge_products(labs, inc, ev, tab)
+            lattice = _edge_products(labs, inc, ev, *tables)
             for lab, row in zip(labs.tolist(), lattice):
                 for x in range(1 << k):
                     t = sum(1 << v for b, v in enumerate(lab) if x >> b & 1)

@@ -260,6 +260,19 @@ def test_witness_just_outside_both_sides(k):
             assert w.sign_change is None
 
 
+@pytest.mark.parametrize("k", [59, 60, 200, 1024])
+def test_witness_below_range_is_the_bracket_root(k):
+    # the companion matrix of a high-degree witness polynomial loses its
+    # roots (relative residual 8.8e14 at k = 60, NaN at k = 1024); the
+    # bisection root in (0, 1) is a zero off the circle by itself
+    w = off_circle_witness(k, -0.5)
+    assert w.witness_root == w.bracket_root and 0 < w.bracket_root < 1
+    assert w.circle_deviation == 1 - w.bracket_root > 1e-5
+    assert w.residual <= 1e-8 * np.max(np.abs(w.polynomial))
+    p0, p1 = w.sign_change
+    assert p0 > 0 > p1
+
+
 def test_witness_above_one_reduces_to_pair_edge():
     for k in (2, 3, 4, 5):
         w = off_circle_witness(k, 1.5)

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from hyperising import (
     Hypergraph,
+    IsingActivity,
     MemoryCapError,
+    TableActivity,
     count_bound,
     enumerate_connected,
 )
@@ -178,6 +180,23 @@ def test_memory_cap_fails_loudly():
     for t in (1, 3):
         with pytest.raises(MemoryCapError, match="at size 1"):
             enumerate_connected(g, t, set_cap=11)
+
+
+def test_enumeration_builds_no_spin_table(monkeypatch):
+    # enumeration reads only which vertices each edge holds; the spin
+    # tables are the coefficient tables' own
+    def refuse(self, size):
+        raise AssertionError("enumeration built a spin table")
+
+    for activity in (IsingActivity, TableActivity):
+        monkeypatch.setattr(activity, "table", refuse)
+    g = random_connected_hypergraph(random.Random(4), 7, 3, 4,
+                                    activity="mixed")
+    assert {type(e.activity) for e in g.edges} == {IsingActivity,
+                                                   TableActivity}
+    fam = enumerate_connected(g, g.n)
+    brute = brute_connected_sets(g, g.n)
+    assert all(label_sets(fam.sets_of_size(s)) == brute[s] for s in brute)
 
 
 def test_deterministic_lexicographic_output():
