@@ -383,12 +383,8 @@ def _cmd_coeffs(args) -> dict:
 
 def _cmd_tight_example(args) -> dict:
     t0 = time.perf_counter()
-    try:
-        witness = off_circle_witness(args.k, args.beta,
-                                     circle_tol=args.tol_circle,
-                                     residual_tol=args.tol_residual)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    witness = off_circle_witness(args.k, args.beta, circle_tol=args.tol_circle,
+                                 residual_tol=args.tol_residual)
     t1 = time.perf_counter()
     rng = ising_ly_range(args.k)
     result = {

@@ -33,9 +33,8 @@ class IsingActivity:
 
     def table(self, size: int) -> tuple[complex, ...]:
         """Expand to the explicit table over the 2^size spin patterns."""
-        full = (1 << size) - 1
-        return tuple(complex(1.0) if b in (0, full) else complex(self.beta)
-                     for b in range(1 << size))
+        one = (complex(1.0),)
+        return one + (complex(self.beta),) * ((1 << size) - 2) + one
 
 
 @dataclass(frozen=True)

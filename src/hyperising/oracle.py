@@ -115,18 +115,24 @@ def _plan(steps, row: int) -> tuple[int, int]:
     return max(widths, default=0), sum(row << (w + 1) for w in widths)
 
 
-def _transfer(steps, state: np.ndarray, lift, complete):
-    """The sum of the last rows of the transfer matrix over `steps` from
-    the one-row `state`, and the number of splits. Bit p of a row id is
-    the spin of the p-th frontier vertex ("+" when set); the first nfix
-    are fixed, in the low bits `fixed` of every id, so row r has id
-    fixed | r << nfix. A joining vertex takes the top bit, and `lift(state,
-    v, plus)` writes its "+" half into `plus`; `complete(state, ids,
-    edges)` weights the rows in place by the completed edges, each with
-    its vertices' positions. Before a doubling passes 2^_BLOCK_BITS
-    int64-sized cells, the free vertex summed out last is fixed: its "-"
-    rows run on, its "+" rows wait (disjoint work until it goes)."""
-    cols = state.shape[1]
+def _transfer(steps, axes: tuple, dtype, complete, lams=None):
+    """The sum of the last rows of the transfer matrix over `steps`, one
+    step per vertex, and the number of splits. Each state has one row per
+    frontier spin pattern, of shape (n + 1, *axes), axis 0 the set size
+    |S| and `axes` the caller's; the engine alone owns the size axis. It
+    starts from one row holding 1 at size 0, and a joining vertex takes
+    the top bit: its "+" half is its "-" half one set size up, times
+    lams[v] when vertex activities are given. Bit p of a row id is the
+    spin of the p-th frontier vertex ("+" when set); the first nfix are
+    fixed, in the low bits `fixed` of every id, so row r has id
+    fixed | r << nfix. `complete(state, ids, edges)` weights the rows in
+    place by the completed edges, each with its vertices' positions.
+    Before a doubling passes 2^_BLOCK_BITS int64-sized cells, the free
+    vertex summed out last is fixed: its "-" rows run on, its "+" rows
+    wait (disjoint work until it goes)."""
+    row = (len(steps) + 1, *axes)
+    state = np.zeros((1, *row), dtype)
+    state[(0,) * state.ndim] = 1
     leaves = {u: i for i, (*_, out, _) in enumerate(steps) for u in out}
     total, splits = 0, 0
     todo = [(0, state, [], 0, 0)]  # (step, state, frontier, fixed, nfix)
@@ -136,15 +142,18 @@ def _transfer(steps, state: np.ndarray, lift, complete):
             v, done, out, _ = steps[i]
             while 2 * state.nbytes > 8 << _BLOCK_BITS and nfix < len(frontier):
                 q = nfix + int(np.argmax([leaves[u] for u in frontier[nfix:]]))
-                state = state.reshape(-1, 2, 1 << q - nfix, cols)
+                state = state.reshape(-1, 2, 1 << q - nfix, *row)
                 frontier.insert(nfix, frontier.pop(q))
-                todo.append((i, state[:, 1].copy().reshape(-1, cols),
+                todo.append((i, state[:, 1].copy().reshape(-1, *row),
                              frontier.copy(), fixed | 1 << nfix, nfix + 1))
-                state = state[:, 0].copy().reshape(-1, cols)
+                state = state[:, 0].copy().reshape(-1, *row)
                 nfix, splits = nfix + 1, splits + 1
-            doubled = np.empty((2 * len(state), cols), state.dtype)
+            doubled = np.empty((2 * len(state), *row), dtype)
             doubled[:len(state)] = state
-            lift(state, v, doubled[len(state):])
+            plus = doubled[len(state):]
+            plus[:, 0] = 0
+            plus[:, 1:] = (state[:, :-1] if lams is None
+                           else lams[v] * state[:, :-1])
             state = doubled
             frontier.append(v)
             ids = fixed | np.arange(len(state), dtype=np.int64) << nfix
@@ -157,8 +166,8 @@ def _transfer(steps, state: np.ndarray, lift, complete):
                     fixed = fixed & ((1 << p) - 1) | fixed >> (p + 1) << p
                     nfix -= 1
                 else:
-                    state = state.reshape(-1, 2, 1 << p - nfix, cols)
-                    state = (state[:, 0] + state[:, 1]).reshape(-1, cols)
+                    state = state.reshape(-1, 2, 1 << p - nfix, *row)
+                    state = (state[:, 0] + state[:, 1]).reshape(-1, *row)
         total = total + state[0]
     return total, splits
 
@@ -175,16 +184,11 @@ def _graded_sum(g: Hypergraph, lams) -> np.ndarray:
     """sum_S prod_e phi_e(S) prod_{v in S} lams[v] by |S| (None: all 1)."""
     steps = _transfer_steps(g)
 
-    def lift(s, v, plus):  # one set size up
-        plus[:, 0] = 0
-        plus[:, 1:] = s[:, :-1] if lams is None else lams[v] * s[:, :-1]
-
     def complete(s, ids, edges):
         if edges:
             s *= math.prod(_edge_values(e, ids, p) for e, p in edges)[:, None]
 
-    c, splits = _transfer(steps, np.eye(1, g.n + 1, dtype=complex),
-                          lift, complete)
+    c, splits = _transfer(steps, (), complex, complete, lams)
     log.info("exact coefficients: transfer matrix, frontier width %d, %d"
              " cells, %d splits", *_plan(steps, g.n + 1), splits)
     return c
@@ -254,24 +258,17 @@ def cut_histogram(g: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
     if not _transfer_pays(g, steps):
         del steps  # so the blocked pass peaks no higher than on its own
         return _blocked_histogram(g)
-    width = len(g.edges) + 1
-
-    # a default: a closure cell would add to the blocked pass's peak
-    def lift(s, v, plus, k=width):  # one set size up
-        plus[:, :k] = 0
-        plus[:, k:] = s[:, :-k]
 
     def complete(s, ids, edges):
         # no set cuts over |E| edges: no count shifts into the next size
         cuts = sum(_cut(ids, p) for _, p in edges)
+        flat = s.reshape(len(s), -1)  # a view: size-major cells of a row
         for k in range(1, len(edges) + 1):
             rows = np.flatnonzero(cuts == k)
-            s[rows, k:] = s[rows, :-k]
-            s[rows, :k] = 0
+            flat[rows, k:] = flat[rows, :-k]
+            flat[rows, :k] = 0
 
-    h, _ = _transfer(steps, np.eye(1, (g.n + 1) * width, dtype=np.int64),
-                     lift, complete)
-    return h.reshape(g.n + 1, width)
+    return _transfer(steps, (len(g.edges) + 1,), np.int64, complete)[0]
 
 
 def uniform_beta_coefficients(hist: np.ndarray, beta) -> np.ndarray:

@@ -103,6 +103,10 @@ def enumerate_connected(g: Hypergraph, t: int,
     sets = np.arange(g.n, dtype=np.int64)[:, None]
     by_size, parents = [sets], [np.full((g.n, 1), -1, dtype=np.int64)]
     for size in range(2, t + 1):
+        if not len(sets):  # past the largest component: no set grows
+            by_size.append(np.empty((0, size), dtype=np.int64))
+            parents.append(np.empty((0, size), dtype=np.int64))
+            continue
         # every vertex of an edge meeting set j, once, outside set j; the
         # padding, members and repeats become g.n, which is no vertex
         nb = near[sets].reshape(len(sets), (size - 1) * near.shape[1])

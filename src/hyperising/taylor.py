@@ -191,13 +191,6 @@ class PartitionEstimator:
         # sums never go past n, so this snapshot covers the host
         return extend_power_sums(p, e, m)
 
-    def _coefficients(self, m: int) -> list[complex]:
-        """Partition-polynomial coefficients c_0..c_n, from tables to the
-        host size or, on a symmetric host, to half of it and the mirror;
-        `m` is the truncation order asking for them."""
-        n = self.host.n
-        return elementary_to_coefficients(self._snapshot(n, m)[1] if n else [])
-
     def elementary(self) -> list[complex]:
         """e_1..e_depth for the deepest order computed so far; e_1..e_n
         once the tables of a symmetric host have reached depth n // 2."""
@@ -235,7 +228,10 @@ class PartitionEstimator:
         try:
             if m >= n:
                 evaluation = "polynomial"
-                c = self._coefficients(m)
+                # c_0..c_n from tables to the host size or, on a
+                # symmetric host, to half of it and the mirror
+                c = elementary_to_coefficients(
+                    self._snapshot(n, m)[1] if n else [])
                 value = _horner(_conj(c) if inverted else c, lam_eff)
                 log_est = cmath.log(value) if value else complex(-math.inf)
             else:

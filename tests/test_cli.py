@@ -207,6 +207,18 @@ def test_tight_example_command(capsys):
     assert code == 1 and rep is None
 
 
+@pytest.mark.parametrize("k, beta, message", [
+    (3, 0.5, "beta=0.5 lies inside the range for k=3; all zeros are on the"
+             " unit circle"),
+    (1, -0.4, "edge size must be >= 2"),
+    (3, 1.0, "beta = 1 is excluded from the witness family"),
+])
+def test_tight_example_input_errors(capsys, k, beta, message):
+    code, rep, err = run_cli(capsys, ["tight-example", "--k", str(k),
+                                      "--beta", str(beta)])
+    assert (code, rep, err) == (1, None, f"error: {message}\n")
+
+
 @pytest.mark.parametrize("k", [59, 60, 200, 1024])
 def test_tight_example_below_range_at_high_degree(capsys, k):
     code, rep, _ = run_cli(capsys, ["tight-example", "--k", str(k),
@@ -298,6 +310,28 @@ def test_enumerate_bound_past_double_range_is_null(capsys, write_doc):
     bounds = rep["result"]["count_bounds"]
     assert math.isfinite(bounds["297"]["bound"])
     assert bounds["300"] == {"bound": None, "count": 0, "respected": True}
+
+
+def test_enumerate_past_the_largest_component_is_cheap(capsys, write_doc):
+    # sizes past the host's 5 vertices are empty; growth stops at the
+    # first of them, so the cost no longer grows with t squared
+    path = write_doc({"n": 5, "edges": [{"v": [i, i + 1], "beta": 0.5}
+                                        for i in range(4)]})
+    start = time.process_time()
+    code, rep, _ = run_cli(capsys, ["enumerate", path, "--t", "3000"])
+    assert time.process_time() - start < 1.0
+    assert code == 0
+    counts = rep["result"]["counts"]
+    assert len(counts) == 3000
+    assert counts == {str(s): max(0, 6 - s) for s in range(1, 3001)}
+    for t in (1, 5, 6, 300):
+        code, small, _ = run_cli(capsys, ["enumerate", path, "--t", str(t)])
+        assert code == 0
+        assert small["result"]["counts"] == {
+            str(s): counts[str(s)] for s in range(1, t + 1)}
+        assert small["result"]["count_bounds"] == {
+            str(s): rep["result"]["count_bounds"][str(s)]
+            for s in range(2, t + 1)}
 
 
 def test_approx_overflow_refused(capsys, write_doc):

@@ -124,8 +124,12 @@ def test_monotone_in_t(small_corpus):
 def test_saturation_beyond_host_size():
     fam = enumerate_connected(triangle(), 7)
     assert fam.sets_of_size(3).tolist() == [[0, 1, 2]]
+    assert len(fam.by_size) == len(fam.parents) == 7
     for s in range(4, 8):
         assert fam.sets_of_size(s).shape == (0, s)
+        for a in (fam.by_size[s - 1], fam.parents[s - 1]):
+            assert a.shape == (0, s) and a.dtype == np.int64
+            assert not a.flags.writeable
 
 
 def test_count_bound_value():
