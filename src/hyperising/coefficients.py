@@ -45,23 +45,47 @@ meeting L and where L's vertices sit on them (vertices outside L are
 "-"). So each size batch is split into structural classes, and the
 lattices and rows run for one representative per class, the first
 member in family order; every other member takes its class's values.
-A set's key lists, per edge meeting it, the edge's table id and its
-trace in the set's local order (from colour refinement, ties broken by
-vertex label): the local rank of the vertex at each position of the
-edge. Tables that do not change under a permutation of the edge's
-positions, such as every Ising table, read only how many positions are
-"+", so their traces enter as multisets; keeping positions there would
-split a 3-regular host's classes about fiftyfold. A representative
-reads each subset S2 at the value of S2's own class, so no map between
-local orders is needed. When no two edges share a table id, a key pins
-down the edges its set meets, so keying is skipped and every set is its
-own class. Classes are numbered in the order of their sorted keys. The
-host's incidence arrays come with the family, built once by the
-enumeration; the spin tables are built here alone, each distinct
-(size, activity) table once, back to back in one flat array.
-The finished tables are value arrays aligned with the rows of the
-family's size arrays, smaller sets first, and p_t is their correctly
-rounded sum; the table does not keep the family.
+A set's labelled structure lists, per edge meeting it, the edge's table
+id and its trace under a labelling of the set's vertices by 0..k-1: the
+label of the vertex at each position of the edge. Tables that do not
+change under a permutation of the edge's positions, such as every Ising
+table, read only how many positions are "+", so their traces enter as
+multisets; keeping positions there would split a 3-regular host's
+classes about fiftyfold. The sets of one class carry labellings under
+which their labelled structures are identical, and the classes of size
+k are grown from those of size k - 1, in the spirit of canonical
+augmentation (McKay, "Isomorph-free exhaustive generation", J.
+Algorithms 1998):
+* a set L = P ∪ {v}, P its first connected parent, keeps P's labels and
+  gives v the label k - 1. P's class fixes the traces of the edges that
+  miss v, so P's class and the traces of the edges through v fix L's
+  labelled structure: sets equal in both form one pre-class;
+* the first member of each pre-class is keyed by colour refinement, its
+  vertices ordered by colour, ties broken by vertex label, and
+  pre-classes with equal keys merge into one class. A key is a labelled
+  structure, in the refinement order, so the two orders map the equal
+  structures onto each other;
+* each set's labelling is the refinement order of its pre-class's first
+  member, carried over through the labels it grew with.
+Refinement thus runs once per pre-class, not once per set, and a class
+holds every set whose own key is its key, so there are no more classes
+than keys. A representative reads each subset S2 at the value of S2's
+own class, so no map between local orders is needed. When no two edges
+share a table id, a labelled structure pins down the edges its set
+meets, so classing is skipped and every set is its own class. Classes
+are numbered in the order of their sorted keys.
+
+The pair rows read the index rows of the representatives alone, and an
+index row reads the rows of its set's parents. So once the classes of
+every size are known, the rows to index are marked top-down, the
+representatives of each size and the parents of the rows marked one
+size up, and only those rows are indexed (every row, without marking,
+when each set is its own class). The host's incidence arrays come with
+the family, built once by the enumeration; the spin tables are built
+here alone, each distinct (size, activity) table once, back to back in
+one flat array. The finished tables are value arrays aligned with the
+rows of the family's size arrays, smaller sets first, and p_t is their
+correctly rounded sum; the table does not keep the family.
 
 Elementary symmetric functions of the reciprocal roots follow from the
 power sums by Newton's identities; with the all-minus normalization the
@@ -146,7 +170,7 @@ def _spin_tables(g: Hypergraph, inc_pos: np.ndarray, depth: int) -> tuple:
     """(flat, start, keying): each distinct (size, activity) spin table
     once, back to back in table-id order, then the dummy edge's lone 1,
     edge e's table starting at flat[start[e]]; and (tid, order_free) for
-    `_structure_classes`, or None when every set is its own class: when
+    `_family_classes`, or None when every set is its own class: when
     no two edges share a table id (equal keys would then put each edge
     position on the same host vertex, so only sets of isolated vertices
     could merge) or a slot code would not fit in int64. order_free[tid[e]]
@@ -197,9 +221,11 @@ def _mix(x: np.ndarray) -> np.ndarray:
 
 
 def _structure_keys(sets: np.ndarray, inc: np.ndarray, inc_pos: np.ndarray,
-                    tid: np.ndarray, order_free: np.ndarray) -> np.ndarray:
-    """One row per set that fixes its coefficients: equal rows mean equal
-    a_t. inc_pos[v, d] is the position of vertex v in its edge inc[v, d].
+                    tid: np.ndarray, order_free: np.ndarray) -> tuple:
+    """(keys, rank): one key row per set that fixes its coefficients
+    (equal rows mean equal a_t), and the local order the row is written
+    in: rank[j, i] is the rank of the i-th vertex of set j. inc_pos[v, d]
+    is the position of vertex v in its edge inc[v, d].
 
     The row holds, per edge meeting the set, the edge's table id and its
     trace: the ranks, in the set's local order, of the set's vertices on
@@ -248,11 +274,11 @@ def _structure_keys(sets: np.ndarray, inc: np.ndarray, inc_pos: np.ndarray,
     order = np.argsort(colour.reshape(nsets, k), axis=1, kind="stable")
     rank = np.empty((nsets, k), dtype=np.int64)
     np.put_along_axis(rank, order, np.arange(k), axis=1)
-    rank = np.tile(rank.ravel(), degree)
+    ranks = np.tile(rank.ravel(), degree)
     # an order-free trace is the bit mask of its ranks, any other one
     # has digit rank + 1 at each position in base k + 1 (0 is "outside");
     # the dummy slot's is empty
-    trace = np.where(free, 1 << rank, (rank + 1) * (k + 1) ** place)
+    trace = np.where(free, 1 << ranks, (ranks + 1) * (k + 1) ** place)
     trace[edges == len(tid) - 1] = 0
     trace = np.cumsum(trace[gather])
     code = (table[gather[starts]] * _trace_codes(k, inc_pos)
@@ -263,27 +289,125 @@ def _structure_keys(sets: np.ndarray, inc: np.ndarray, inc_pos: np.ndarray,
     keys = np.full((nsets, int(count.max())), -1, dtype=np.int64)
     keys[row, slot] = code
     keys.sort(axis=1)
-    return keys
+    return keys, rank
 
 
-def _structure_classes(sets: np.ndarray, inc: np.ndarray,
-                       inc_pos: np.ndarray, tid: np.ndarray,
-                       order_free: np.ndarray) -> tuple:
-    """(cls, reps): the class of each set, numbered in the order of the
-    sorted keys, and the row of each class's first member. Sets share a
-    class when their `_structure_keys` rows are equal."""
+def _pre_keys(sets: np.ndarray, parents: np.ndarray, prev_cls: np.ndarray,
+              prev_lab: np.ndarray, inc: np.ndarray, ev: np.ndarray,
+              tid: np.ndarray, order_free: np.ndarray, codes: int) -> tuple:
+    """(rows, pre_lab) for a chunk of sets of size k: a pre-key row per
+    set, and its pre-labels, pre_lab[j, i] for the i-th vertex of set j.
+
+    A set L is read from its first connected parent P = L \\ {v}: P's
+    vertices keep P's labels, prev_lab[P], and v takes label k - 1. The
+    row is P's class, prev_cls[P], then the slot codes of the edges
+    through v, sorted, as `_structure_keys` writes a slot but traced in
+    these labels; padding slots read -1. The edges meeting P but not v
+    keep their traces, which P's class fixes, so equal rows give equal
+    labelled structures. For k = 1 every parent is -1, the last row of
+    prev_cls and prev_lab, which stand for the empty set.
+    """
     nsets, k = sets.shape
-    step = max(1, _KEY_CELLS // (k * inc.shape[1]))
-    keys = [_structure_keys(sets[lo:lo + step], inc, inc_pos, tid,
-                            order_free)
-            for lo in range(0, nsets, step)]
-    width = max(part.shape[1] for part in keys)
-    keys = np.concatenate([np.pad(part, ((0, 0), (width - part.shape[1], 0)),
-                                  constant_values=-1) for part in keys])
-    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
-    _, first, inv = np.unique(rows.ravel(), return_index=True,
+    b = np.argmax(parents >= 0, axis=1)
+    pick = np.arange(nsets)
+    parent = parents[pick, b]
+    pre_lab = np.full((nsets, k), k - 1, dtype=prev_lab.dtype)
+    pre_lab[np.arange(k) != b[:, None]] = prev_lab[parent].ravel()
+    edges = inc[sets[pick, b]]
+    # lab[j, d, p]: 1 + the label of the vertex of set j at position p of
+    # the d-th edge through v, or 0 when that vertex is outside the set
+    ends = ev[edges]
+    lab = np.zeros(ends.shape, dtype=np.int64)
+    for i, plus in enumerate(pre_lab.T.astype(np.int64) + 1):
+        lab += (ends == sets[:, i, None, None]) * plus[:, None, None]
+    mask = np.zeros(edges.shape, dtype=np.int64)
+    digits = np.zeros(edges.shape, dtype=np.int64)
+    for p in range(ev.shape[1]):
+        mask += (1 << lab[..., p]) >> 1
+        digits += lab[..., p] * (k + 1) ** p
+    table = tid[edges]
+    code = table * codes + np.where(order_free[table], mask, digits)
+    code[edges == len(tid) - 1] = -1
+    code.sort(axis=1)
+    return np.column_stack([prev_cls[parent], code]), pre_lab
+
+
+def _unique_rows(rows: np.ndarray) -> tuple:
+    """(first, inv): the first row of each distinct row, in the order of
+    the sorted rows, and the number of each row's distinct row."""
+    flat = np.ascontiguousarray(rows).view(
+        np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, inv = np.unique(flat.ravel(), return_index=True,
                               return_inverse=True)
-    return inv, first
+    return first, inv.ravel()
+
+
+def _family_classes(fam: ConnectedFamily, depth: int, tid: np.ndarray,
+                    order_free: np.ndarray) -> list:
+    """[(cls, reps)] for each non-empty size k <= depth: the class of each
+    set of size k, numbered in the order of the sorted keys, and the row
+    of each class's first member. The classes of size k grow from those
+    of size k - 1 (see the module docstring): `_pre_keys` splits the sets
+    into pre-classes, `_structure_keys` keys the first member of each, and
+    pre-classes with equal keys merge. A set's labelling, which the next
+    size reads, is the key order of its pre-class's first member, carried
+    over through the pre-labels.
+    """
+    inc, inc_pos, ev = fam.arrays
+    degree = inc.shape[1]
+    # the empty set, reached through the parent -1 of every singleton
+    cls = np.zeros(1, dtype=np.int64)
+    lab = np.zeros((1, 0), dtype=np.min_scalar_type(depth))
+    out = []
+    for k in range(1, depth + 1):
+        sets = fam.sets_of_size(k)
+        if not len(sets):
+            break
+        step = max(1, _KEY_CELLS // (degree * ev.shape[1] * k))
+        rows, pre_lab = zip(*(
+            _pre_keys(sets[lo:lo + step], fam.parents[k - 1][lo:lo + step],
+                      cls, lab, inc, ev, tid, order_free,
+                      _trace_codes(k, inc_pos))
+            for lo in range(0, len(sets), step)))
+        first, pre = _unique_rows(np.concatenate(rows))
+        # pre-classes in the family order of their first members
+        order = np.argsort(first)
+        first = first[order]
+        pre = np.argsort(order)[pre]
+        step = max(1, _KEY_CELLS // (k * degree))
+        keys, rank = zip(*(
+            _structure_keys(sets[first[lo:lo + step]], inc, inc_pos, tid,
+                            order_free)
+            for lo in range(0, len(first), step)))
+        width = max(part.shape[1] for part in keys)
+        keys = np.concatenate([np.pad(part, ((0, 0), (width - part.shape[1],
+                                                      0)),
+                                      constant_values=-1) for part in keys])
+        reps, merged = _unique_rows(keys)
+        cls = merged[pre]
+        out.append((cls, first[reps]))
+        if k < depth:
+            pre_lab = np.concatenate(pre_lab)
+            relabel = np.empty((len(first), k), dtype=lab.dtype)
+            np.put_along_axis(relabel, pre_lab[first], np.concatenate(rank),
+                              axis=1)
+            lab = np.take_along_axis(relabel[pre], pre_lab, axis=1)
+    return out
+
+
+def _index_rows(parents: Sequence[np.ndarray], reps: list) -> list:
+    """The rows of each size whose subset index is read, ascending: the
+    class representatives, whose rows feed the pair rows, and the parents
+    of the rows read one size up, which `_subset_index` reads."""
+    rows, below = [], np.empty(0, dtype=np.int64)
+    for par, own in zip(parents[len(reps) - 1::-1], reversed(reps)):
+        mark = np.zeros(len(par), dtype=bool)
+        mark[own] = True
+        mark[below] = True
+        rows.append(np.flatnonzero(mark))
+        below = par[rows[-1]].ravel()
+        below = below[below >= 0]
+    return rows[::-1]
 
 
 def _subset_index(idx: np.ndarray, own: np.ndarray, parents: np.ndarray,
@@ -294,7 +418,7 @@ def _subset_index(idx: np.ndarray, own: np.ndarray, parents: np.ndarray,
 
     prev is the same table one size down, and parents[j, v] is the row of
     prev for the set minus its v-th vertex. When that set is disconnected
-    the row is -1, the last row of every table, which is all -1. A
+    the row is the last one, which every table ends in and is all -1. A
     connected proper subset x misses a vertex v whose removal keeps the
     set connected (a leaf of a spanning tree grown from x), so some row
     lists it; every row lists a disconnected x as -1.
@@ -366,42 +490,50 @@ def compute_coefficient_tables(
 
     inc, inc_pos, ev = fam.arrays
     flat, start, keying = _spin_tables(g, inc_pos, depth)
-    # values[t, c]: the order-t coefficient of the sets of class c; cls
-    # maps each family row to its class
+    if keying is None:
+        # every set its own class; only sizes past the largest component
+        # are empty
+        classes = [(np.arange(len(sets)),) * 2
+                   for sets in fam.by_size[:depth] if len(sets)]
+    else:
+        classes = _family_classes(fam, depth, *keying)
+    reps = [own for _, own in classes]
+    # every row is its own class's representative on unkeyed hosts, so
+    # every row is read there; elsewhere only the representatives' closure
+    rows = reps if keying is None else _index_rows(fam.parents, reps)
+    # values[t, c]: the order-t coefficient of the sets of class c, the
+    # classes of size k from firsts[k - 1] on; cls maps each family row to
+    # its class
+    firsts = np.cumsum([0] + [len(own) for own in reps])
     cls = np.empty(ends[-1], dtype=np.int64)
-    values = np.zeros((m + 1, 0), dtype=np.complex128)
+    values = np.zeros((m + 1, firsts[-1]), dtype=np.complex128)
     scan_max = [0] * (m + 1)
     # the empty set is no label set: its index table is only the all -1
-    # row that every index table ends in for parents that are not sets
+    # row that every index table ends in for parents that are not sets;
+    # at[r] is the index row of family row r one size down, at[-1] that
+    # last row
     idx = np.full((1, 1), -1, dtype=np.int32)
-    for k in range(1, depth + 1):
+    at = np.zeros(1, dtype=np.int64)
+    for k, ((batch_cls, own), read) in enumerate(zip(classes, rows), start=1):
         sets = fam.sets_of_size(k)
-        if not len(sets):
-            break
         offset = ends[k - 1] - len(sets)
-        if keying is None:
-            batch_cls = reps = np.arange(len(sets))
-        else:
-            batch_cls, reps = _structure_classes(sets, inc, inc_pos,
-                                                 *keying)
-        first = values.shape[1]
+        first = firsts[k - 1]
         cls[offset:ends[k - 1]] = first + batch_cls
-        values = np.concatenate(
-            [values, np.zeros((m + 1, len(reps)), dtype=np.complex128)],
-            axis=1)
         prev = idx
-        idx = np.full((len(sets) + 1, 1 << k), -1, dtype=np.int32)
+        idx = np.full((len(read) + 1, 1 << k), -1, dtype=np.int32)
         step = max(1, _LATTICE_CELLS >> k)
-        for lo in range(0, len(sets), step):
-            hi = min(lo + step, len(sets))
-            _subset_index(idx[lo:hi], cls[offset + lo:offset + hi],
-                          fam.parents[k - 1][lo:hi], prev)
-        for lo in range(0, len(reps), step):
-            hi = min(lo + step, len(reps))
-            pick = reps[lo:hi]
+        for lo in range(0, len(read), step):
+            pick = read[lo:lo + step]
+            _subset_index(idx[lo:lo + len(pick)], cls[offset + pick],
+                          at[fam.parents[k - 1][pick]], prev)
+        at = np.full(len(sets) + 1, len(read), dtype=np.int64)
+        at[read] = np.arange(len(read))
+        for lo in range(0, len(own), step):
+            hi = min(lo + step, len(own))
+            pick = own[lo:hi]
             e = _edge_products(sets[pick], inc, ev, flat, start)
             row_l, row_c, row_i, row_coef, row_mult, row_r = _size_rows(
-                idx[pick], e, k, m)
+                idx[at[pick]], e, k, m)
             # every S2 but L itself is a smaller set, finished in an
             # earlier batch; L is read only at lower orders of this loop
             stops = np.searchsorted(row_r, np.arange(m - k + 1), "right")

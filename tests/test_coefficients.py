@@ -1,12 +1,14 @@
 import cmath
+import itertools
 import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hyperising import (
     Hyperedge,
@@ -298,15 +300,11 @@ def literal_recurrence_hosts():
 def class_counts(g: Hypergraph, t: int) -> list[tuple[int, int]]:
     """(sets, classes) of each size up to t."""
     fam = enumerate_connected(g, t)
-    inc, inc_pos, _ = fam.arrays
-    keying = coefficients._spin_tables(g, inc_pos, t)[2]
-    out = []
-    for sets in fam.by_size:
-        if len(sets):
-            reps = (sets if keying is None else coefficients.
-                    _structure_classes(sets, inc, inc_pos, *keying)[1])
-            out.append((len(sets), len(reps)))
-    return out
+    keying = coefficients._spin_tables(g, fam.arrays[1], t)[2]
+    if keying is None:
+        return [(len(sets), len(sets)) for sets in fam.by_size if len(sets)]
+    return [(len(cls), len(reps)) for cls, reps
+            in coefficients._family_classes(fam, t, *keying)]
 
 
 def test_tables_and_pair_scan_match_literal_recurrence():
@@ -362,12 +360,102 @@ def test_tables_and_pair_scan_match_literal_recurrence():
 @pytest.mark.parametrize("seed", [7, 8, 9])
 def test_regular_host_classes(seed):
     # 3-regular uniform-beta hosts: all vertices and all edges are alike,
-    # and refinement brings 5000-5600 sets of size 7 down to 50-58
-    # classes (with Ising traces kept by position: thousands)
+    # and classes grown from the parents' classes bring 5000-5600 sets of
+    # size 7 down to 27-47 classes, 55-91 up to size 7 (keying every set
+    # by its own refinement order: 95-118; with Ising traces kept by
+    # position: thousands)
     counts = class_counts(random_regular_graph(random.Random(seed), 50, 3,
                                                0.2), 7)
     assert counts[:2] == [(50, 1), (75, 1)]
-    assert sum(c for _, c in counts) <= 120
+    assert sum(c for _, c in counts) <= 95
+
+
+@st.composite
+def keyed_hosts(draw):
+    """A 3-regular host with uniform beta, or a host of 3 to 7 vertices
+    whose edges of size 2 to 4 draw their activities from a pool per size:
+    Ising at two betas, a table that reads positions and a table that
+    reads only the number of "+" positions. Some edges repeat as parallel
+    edges, and degrees differ, so incidence rows are padded."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        return random_regular_graph(rng, draw(st.sampled_from([4, 6, 8])), 3,
+                                    rng.uniform(-0.9, 0.9))
+    n = draw(st.integers(3, 7))
+    betas = [rng.uniform(-0.9, 0.9) for _ in range(2)]
+    pool = {}
+    for k in (2, 3, 4):
+        plus = [1.0] + [rng.uniform(-1, 1) for _ in range(k)]
+        pool[k] = [IsingActivity(b) for b in betas] + [
+            random_symmetric_table(rng, k),
+            TableActivity(tuple(complex(plus[b.bit_count()])
+                                for b in range(1 << k)))]
+    edges = []
+    for _ in range(draw(st.integers(2, 2 * n))):
+        verts = tuple(sorted(draw(st.sets(st.integers(0, n - 1),
+                                          min_size=2, max_size=4))))
+        edges += ([Hyperedge(verts, draw(st.sampled_from(pool[len(verts)])))]
+                  * draw(st.integers(1, 2)))
+    return Hypergraph(n, tuple(edges))
+
+
+def canonical_form(edges: list, labels: list[int]) -> list:
+    """The least, over all labellings of the set's vertices by 0..k-1, of
+    the sorted (table id, trace) of the edges meeting the set. edges holds
+    (table id, order-free, vertices) per host edge; a trace lists the
+    label at each position of the edge (-1 outside the set), or the
+    sorted labels when the table reads only the number of "+" positions."""
+    meeting = [(t, free, vs) for t, free, vs in edges
+               if not set(vs).isdisjoint(labels)]
+    best = None
+    for perm in itertools.permutations(range(len(labels))):
+        lab = dict(zip(labels, perm))
+        form = sorted((t, tuple(sorted(lab[v] for v in vs if v in lab))
+                       if free else tuple(lab.get(v, -1) for v in vs))
+                      for t, free, vs in meeting)
+        if best is None or form < best:
+            best = form
+    return best
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(keyed_hosts())
+def test_classes_are_exact(g):
+    # every member of a class has its representative's canonical form, by
+    # brute force over all k! labellings; no size has more classes than
+    # keying every set by its own refinement order gives; and the classes
+    # and tables do not depend on the chunking
+    t = min(g.n, 6)
+    fam = enumerate_connected(g, t)
+    keying = coefficients._spin_tables(g, fam.arrays[1], t)[2]
+    assume(keying is not None)
+    ids: dict = {}
+    edges = []
+    for e in g.edges:
+        table = e.activity.table(e.size)
+        free = all(table[b] == table[(1 << b.bit_count()) - 1]
+                   for b in range(1 << e.size))
+        edges.append((ids.setdefault((e.size, e.activity), len(ids)), free,
+                      e.vertices))
+    inc, inc_pos, _ = fam.arrays
+    classes = coefficients._family_classes(fam, t, *keying)
+    for sets, (cls, reps) in zip(fam.by_size, classes):
+        forms = [canonical_form(edges, s) for s in sets.tolist()]
+        assert cls[reps].tolist() == list(range(len(reps)))
+        for j, c in enumerate(cls.tolist()):
+            assert reps[c] <= j and forms[j] == forms[reps[c]]
+        keys = coefficients._structure_keys(sets, inc, inc_pos, *keying)[0]
+        assert len(reps) <= len(np.unique(keys, axis=0))
+    want = compute_coefficient_tables(g, t, fam)
+    with mock.patch.object(coefficients, "_KEY_CELLS", 1 << 4), \
+            mock.patch.object(coefficients, "_LATTICE_CELLS", 1 << 6):
+        again = coefficients._family_classes(fam, t, *keying)
+        got = compute_coefficient_tables(g, t, fam)
+    for (cls, reps), (cls2, reps2) in zip(classes, again, strict=True):
+        assert np.array_equal(cls, cls2) and np.array_equal(reps, reps2)
+    assert got.pair_scan_max == want.pair_scan_max
+    for a, b in zip(got.tables, want.tables, strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_chunking_does_not_change_tables(monkeypatch):
@@ -500,24 +588,6 @@ def test_relabelling_moves_power_sums_by_rounding_only(case):
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
-def test_table_build_memory_stays_bounded():
-    # the pair rows of a chunk are dropped once its orders are done; kept
-    # for every size until one final order sweep, this build peaked at
-    # 227 MiB, against 109 MiB with the rows dropped chunk by chunk,
-    # 79.5 MiB with int32 subset index tables, 53.5 MiB with the edge
-    # products taken one edge slot at a time and 31 MiB with the lattices
-    # run for one set per structural class
-    g = random_regular_graph(random.Random(256), 256, 3, 0.2)
-    fam = enumerate_connected(g, 7)
-    tracemalloc.start()
-    try:
-        compute_coefficient_tables(g, 7, fam=fam)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 160 * 2 ** 20
-
-
 def traced_peak(call) -> int:
     tracemalloc.start()
     try:
@@ -525,6 +595,31 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_table_build_memory_stays_bounded():
+    # the pair rows of a chunk are dropped once its orders are done; kept
+    # for every size until one final order sweep, this build peaked at
+    # 227 MiB, against 109 MiB with the rows dropped chunk by chunk,
+    # 79.5 MiB with int32 subset index tables, 53.5 MiB with the edge
+    # products taken one edge slot at a time, 31 MiB with the lattices
+    # run for one set per structural class and 5.7 MiB with classes grown
+    # from the parents' classes and index rows for the representatives'
+    # down-closure alone
+    g = random_regular_graph(random.Random(256), 256, 3, 0.2)
+    fam = enumerate_connected(g, 7)
+    peak = traced_peak(lambda: compute_coefficient_tables(g, 7, fam=fam))
+    assert peak < 160 * 2 ** 20
+
+
+def test_index_rows_of_the_closure_bound_memory():
+    # 121 777 sets in 164 classes: index rows for every set held the
+    # 79 309 x 256 int32 size-8 table and peaked at 99.6 MiB; the
+    # representatives' down-closure peaks at 13 MiB
+    g = random_regular_graph(random.Random(200), 200, 3, 0.2)
+    fam = enumerate_connected(g, 8)
+    peak = traced_peak(lambda: compute_coefficient_tables(g, 8, fam=fam))
+    assert peak < 75 * 2 ** 20
 
 
 def test_wide_edge_memory_stays_within_the_distinct_tables():
