@@ -75,6 +75,12 @@ share a table id, a labelled structure pins down the edges its set
 meets, so classing is skipped and every set is its own class. Classes
 are numbered in the order of their sorted keys.
 
+A set's edges are read one way, as slots (`_slots`): the distinct edges
+meeting it, ascending, padded with a dummy edge, each position labelled
+by its set vertex or "outside" (`_labels_on`). The lattices and the
+structure keys read a set's slots, the pre-keys the edges through v, and
+`_slot_codes` alone writes the table id and trace of a slot for both.
+
 The pair rows read the index rows of the representatives alone, and an
 index row reads the rows of its set's parents. So once the classes of
 every size are known, the rows to index are marked top-down, the
@@ -106,11 +112,10 @@ from .errors import MemoryCapError
 from .hypergraph import Hypergraph
 from .subgraphs import ConnectedFamily, enumerate_connected
 
-# local subsets per chunk of same-size sets: bounds the lattices, ranked
-# sums, pair rows and gathers held at once
-_LATTICE_CELLS = 1 << 17
-# (set, vertex, incident edge) cells per chunk of structure keys
-_KEY_CELLS = 1 << 17
+# cells per chunk of same-size sets: local subsets of the lattices, ranked
+# sums, pair rows and gathers, or (set, slot, edge position) cells of the
+# pre-keys and structure keys
+_CHUNK_CELLS = 1 << 17
 # spin-table entries per host (1 GiB), which keeps table codes in int64
 _TABLE_ENTRIES = 1 << 26
 
@@ -130,6 +135,44 @@ class CoefficientTable:
     pair_scan_max: tuple[int, ...]
 
 
+def _slots(sets: np.ndarray, inc: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """slot[j, s]: the distinct edges meeting sets[j], ascending, then the
+    dummy edge (the last, which meets nothing) up to width k * degree."""
+    dummy = len(ev) - 1
+    slot = np.sort(inc[sets].reshape(len(sets), -1), axis=1)
+    slot[:, 1:][slot[:, 1:] == slot[:, :-1]] = dummy
+    slot.sort(axis=1)
+    return slot
+
+
+def _labels_on(sets: np.ndarray, labels: np.ndarray,
+               ends: np.ndarray) -> np.ndarray:
+    """lab[j, s, p]: 1 + labels[j, i] when the p-th vertex of the edge
+    ends[j, s] is the i-th vertex of sets[j], and 0 when that vertex is
+    outside the set."""
+    lab = np.zeros(ends.shape, dtype=np.int64)
+    for i, plus in enumerate(labels.T.astype(np.int64) + 1):
+        lab += (ends == sets[:, i, None, None]) * plus[:, None, None]
+    return lab
+
+
+def _slot_codes(edges: np.ndarray, lab: np.ndarray, tid: np.ndarray,
+                order_free: np.ndarray, k: int) -> np.ndarray:
+    """The code of each edge slot of a k-set, its table id times
+    `_trace_codes` plus its trace under the labels lab (from `_labels_on`),
+    or -1 for the dummy edge. An order-free trace is the bit mask of its
+    labels, any other one has digit 1 + label at each position in base
+    k + 1 (0 is "outside")."""
+    table = tid[edges]
+    place = np.arange(lab.shape[-1])
+    mask = ((1 << lab) >> 1) @ np.ones_like(place)
+    digits = lab @ (k + 1) ** place
+    code = (table * _trace_codes(k, len(place))
+            + np.where(order_free[table], mask, digits))
+    code[edges == len(tid) - 1] = -1
+    return code
+
+
 def _edge_products(sets: np.ndarray, inc: np.ndarray, ev: np.ndarray,
                    flat: np.ndarray, start: np.ndarray) -> np.ndarray:
     """E[j, x] = product of the edge weights when the subset of sets[j] at
@@ -142,13 +185,11 @@ def _edge_products(sets: np.ndarray, inc: np.ndarray, ev: np.ndarray,
     slot order, into one lattice.
     """
     nsets, k = sets.shape
-    dummy = len(start) - 1
-    # slot[s, j]: the distinct edges meeting set j, at least one per set;
-    # repeats and padding are the dummy edge, whose table is a lone 1
-    slot = np.sort(inc[sets].reshape(nsets, -1), axis=1)
-    slot[:, 1:][slot[:, 1:] == slot[:, :-1]] = dummy
-    slot = np.sort(slot, axis=1)
-    slot = slot[:, :max(1, np.count_nonzero(slot.min(axis=0) < dummy))].T
+    # the slots up to the widest real one, at least one per set; the
+    # dummy edge's table is a lone 1
+    slot = _slots(sets, inc, ev)
+    real = np.count_nonzero(slot.min(axis=0) < len(ev) - 1)
+    slot = slot[:, :max(1, real)].T
     # place[s, i, j] = 2^p when the i-th vertex of set j is the p-th
     # vertex of edge slot s, so the table code of local mask x is the
     # slot's start plus sum_i bit_i(x) * place[s, i, j]
@@ -166,7 +207,7 @@ def _edge_products(sets: np.ndarray, inc: np.ndarray, ev: np.ndarray,
     return e.T
 
 
-def _spin_tables(g: Hypergraph, inc_pos: np.ndarray, depth: int) -> tuple:
+def _spin_tables(g: Hypergraph, depth: int) -> tuple:
     """(flat, start, keying): each distinct (size, activity) spin table
     once, back to back in table-id order, then the dummy edge's lone 1,
     edge e's table starting at flat[start[e]]; and (tid, order_free) for
@@ -188,7 +229,7 @@ def _spin_tables(g: Hypergraph, inc_pos: np.ndarray, depth: int) -> tuple:
     offset = np.cumsum([0] + [1 << size for size, _ in ids])
     start = offset[tid]
     if (len(ids) == len(g.edges)
-            or len(tid) * _trace_codes(depth, inc_pos) >= 1 << 63):
+            or len(tid) * _trace_codes(depth, g.max_edge_size) >= 1 << 63):
         return flat, start, None
     order_free = [True] * (len(ids) + 1)
     for i, (size, _) in enumerate(ids):
@@ -199,9 +240,10 @@ def _spin_tables(g: Hypergraph, inc_pos: np.ndarray, depth: int) -> tuple:
     return flat, start, (tid, np.asarray(order_free))
 
 
-def _trace_codes(k: int, inc_pos: np.ndarray) -> int:
-    """The number of trace codes of an edge slot of a k-set."""
-    return max(1 << k, (k + 1) ** (int(inc_pos.max(initial=0)) + 1))
+def _trace_codes(k: int, width: int) -> int:
+    """The number of trace codes of an edge slot of a k-set, for edges of
+    at most width vertices."""
+    return max(1 << k, (k + 1) ** width)
 
 
 _MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9),
@@ -220,92 +262,64 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _structure_keys(sets: np.ndarray, inc: np.ndarray, inc_pos: np.ndarray,
+def _structure_keys(sets: np.ndarray, inc: np.ndarray, ev: np.ndarray,
                     tid: np.ndarray, order_free: np.ndarray) -> tuple:
     """(keys, rank): one key row per set that fixes its coefficients
     (equal rows mean equal a_t), and the local order the row is written
-    in: rank[j, i] is the rank of the i-th vertex of set j. inc_pos[v, d]
-    is the position of vertex v in its edge inc[v, d].
+    in: rank[j, i] is the rank of the i-th vertex of set j.
 
-    The row holds, per edge meeting the set, the edge's table id and its
-    trace: the ranks, in the set's local order, of the set's vertices on
-    the edge, each at its position in the edge, or as a multiset when
-    the table is order-free. Vertices outside the set are left out: the
-    table id fixes the edge size. Sorting the slots makes the row the
-    multiset of slots. The local order sorts the vertices by colour, and
-    breaks ties by vertex label. A vertex's colour hashes the table ids,
-    positions (of tables that are not order-free) and colours of the
-    edges it lies on, refined three times after the first. A weak
-    order costs classes, never correctness: whatever the order, a row
-    determines every edge product and every connected subset under it.
+    The row is the sorted `_slot_codes` of the set's `_slots` under the
+    ranks, the dummy slots first, so all rows of a size have one width.
+    The local order sorts the vertices by colour, and breaks ties by
+    vertex label. An edge's colour hashes its table id and the colours of
+    the set's vertices on it, bound to their positions when the table is
+    not order-free; a vertex's colour hashes the colours of its edges,
+    refined three times after the first. A weak order costs classes,
+    never correctness: whatever the order, a row determines every edge
+    product and every connected subset under it.
     """
     nsets, k = sets.shape
-    degree = inc.shape[1]
-    # the (vertex, edge) incidences of the sets, d * nsets * k + j * k + i
-    # for the d-th edge of the i-th vertex of set j; gather lists them
-    # set by set and by edge within a set, each edge slot one segment
-    # (the dummy edge's incidences make a slot too, a structural one)
-    edges = inc[sets]
-    by_edge = np.argsort(edges.reshape(nsets, -1), axis=1, kind="stable")
-    gather = ((by_edge % degree) * nsets * k + by_edge // degree
-              + np.arange(nsets)[:, None] * k).ravel()
-    edges = edges.transpose(2, 0, 1).ravel()
-    new = np.ones(len(gather), dtype=bool)
-    new[1:] = edges[gather[1:]] != edges[gather[:-1]]
-    new[::k * degree] = True
-    starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], len(gather)) - 1
-    seg = np.empty(len(gather), dtype=np.int64)
-    seg[gather] = np.cumsum(new) - 1
-    place = inc_pos[sets].transpose(2, 0, 1).ravel()
-    table = tid[edges]
-    free = order_free[table]
+    slot = _slots(sets, inc, ev)
+    ends = ev[slot]
+    # cell (j, s, p) reads the colour of the vertex of set j at position p
+    # of slot s, or the spare last colour when that vertex is outside
+    lab = _labels_on(sets, np.broadcast_to(np.arange(k), sets.shape), ends)
+    at = np.where(lab > 0, lab - 1 + k * np.arange(nsets)[:, None, None],
+                  nsets * k)
     # an odd multiplier per edge position binds a colour to its position
-    # on the edges whose table reads positions
-    salt = np.where(free, np.uint64(1),
-                    _mix(place.astype(np.uint64)) | np.uint64(1))
-    edge_salt = _mix(table[gather[starts]].astype(np.uint64))
-    colour = np.zeros(nsets * k, dtype=np.uint64)
+    # on the edges whose table reads positions; outside cells weigh 0
+    table = tid[slot]
+    salt = np.where(order_free[table][..., None], np.uint64(1),
+                    _mix(np.arange(ends.shape[2], dtype=np.uint64))
+                    | np.uint64(1)) * (lab > 0)
+    edge_salt = _mix(table.astype(np.uint64))
+    colour = np.zeros(nsets * k + 1, dtype=np.uint64)
     for _ in range(4):
-        seen = np.cumsum((np.tile(_mix(colour), degree) * salt)[gather])
-        edge = _mix(edge_salt + np.diff(seen[ends], prepend=np.uint64(0)))
-        back = (edge[seg] * salt).reshape(degree, -1).sum(axis=0)
+        edge = _mix(edge_salt + (_mix(colour)[at] * salt).sum(axis=2))
+        back = np.zeros_like(colour)
+        np.add.at(back, at, edge[..., None] * salt)
         colour = _mix(colour + back)
-    order = np.argsort(colour.reshape(nsets, k), axis=1, kind="stable")
-    rank = np.empty((nsets, k), dtype=np.int64)
-    np.put_along_axis(rank, order, np.arange(k), axis=1)
-    ranks = np.tile(rank.ravel(), degree)
-    # an order-free trace is the bit mask of its ranks, any other one
-    # has digit rank + 1 at each position in base k + 1 (0 is "outside");
-    # the dummy slot's is empty
-    trace = np.where(free, 1 << ranks, (ranks + 1) * (k + 1) ** place)
-    trace[edges == len(tid) - 1] = 0
-    trace = np.cumsum(trace[gather])
-    code = (table[gather[starts]] * _trace_codes(k, inc_pos)
-            + np.diff(trace[ends], prepend=0))
-    row = starts // (k * degree)
-    count = np.bincount(row, minlength=nsets)
-    slot = np.arange(len(starts)) - (np.cumsum(count) - count)[row]
-    keys = np.full((nsets, int(count.max())), -1, dtype=np.int64)
-    keys[row, slot] = code
+    rank = np.argsort(np.argsort(colour[:-1].reshape(nsets, k), axis=1,
+                                 kind="stable"), axis=1)
+    keys = _slot_codes(slot, _labels_on(sets, rank, ends), tid, order_free,
+                       k)
     keys.sort(axis=1)
     return keys, rank
 
 
 def _pre_keys(sets: np.ndarray, parents: np.ndarray, prev_cls: np.ndarray,
               prev_lab: np.ndarray, inc: np.ndarray, ev: np.ndarray,
-              tid: np.ndarray, order_free: np.ndarray, codes: int) -> tuple:
+              tid: np.ndarray, order_free: np.ndarray) -> tuple:
     """(rows, pre_lab) for a chunk of sets of size k: a pre-key row per
     set, and its pre-labels, pre_lab[j, i] for the i-th vertex of set j.
 
     A set L is read from its first connected parent P = L \\ {v}: P's
     vertices keep P's labels, prev_lab[P], and v takes label k - 1. The
-    row is P's class, prev_cls[P], then the slot codes of the edges
-    through v, sorted, as `_structure_keys` writes a slot but traced in
-    these labels; padding slots read -1. The edges meeting P but not v
-    keep their traces, which P's class fixes, so equal rows give equal
-    labelled structures. For k = 1 every parent is -1, the last row of
-    prev_cls and prev_lab, which stand for the empty set.
+    row is P's class, prev_cls[P], then the sorted `_slot_codes` of the
+    edges through v under these labels, the padding slots -1. The edges
+    meeting P but not v keep their traces, which P's class fixes, so equal
+    rows give equal labelled structures. For k = 1 every parent is -1, the
+    last row of prev_cls and prev_lab, which stand for the empty set.
     """
     nsets, k = sets.shape
     b = np.argmax(parents >= 0, axis=1)
@@ -314,20 +328,8 @@ def _pre_keys(sets: np.ndarray, parents: np.ndarray, prev_cls: np.ndarray,
     pre_lab = np.full((nsets, k), k - 1, dtype=prev_lab.dtype)
     pre_lab[np.arange(k) != b[:, None]] = prev_lab[parent].ravel()
     edges = inc[sets[pick, b]]
-    # lab[j, d, p]: 1 + the label of the vertex of set j at position p of
-    # the d-th edge through v, or 0 when that vertex is outside the set
-    ends = ev[edges]
-    lab = np.zeros(ends.shape, dtype=np.int64)
-    for i, plus in enumerate(pre_lab.T.astype(np.int64) + 1):
-        lab += (ends == sets[:, i, None, None]) * plus[:, None, None]
-    mask = np.zeros(edges.shape, dtype=np.int64)
-    digits = np.zeros(edges.shape, dtype=np.int64)
-    for p in range(ev.shape[1]):
-        mask += (1 << lab[..., p]) >> 1
-        digits += lab[..., p] * (k + 1) ** p
-    table = tid[edges]
-    code = table * codes + np.where(order_free[table], mask, digits)
-    code[edges == len(tid) - 1] = -1
+    code = _slot_codes(edges, _labels_on(sets, pre_lab, ev[edges]), tid,
+                       order_free, k)
     code.sort(axis=1)
     return np.column_stack([prev_cls[parent], code]), pre_lab
 
@@ -349,12 +351,12 @@ def _family_classes(fam: ConnectedFamily, depth: int, tid: np.ndarray,
     of each class's first member. The classes of size k grow from those
     of size k - 1 (see the module docstring): `_pre_keys` splits the sets
     into pre-classes, `_structure_keys` keys the first member of each, and
-    pre-classes with equal keys merge. A set's labelling, which the next
-    size reads, is the key order of its pre-class's first member, carried
-    over through the pre-labels.
+    pre-classes with equal keys merge; both run in chunks of _CHUNK_CELLS
+    slot cells, and every key row of size k is k * degree slots wide. A
+    set's labelling, which the next size reads, is the key order of its
+    pre-class's first member, carried over through the pre-labels.
     """
-    inc, inc_pos, ev = fam.arrays
-    degree = inc.shape[1]
+    inc, ev = fam.arrays
     # the empty set, reached through the parent -1 of every singleton
     cls = np.zeros(1, dtype=np.int64)
     lab = np.zeros((1, 0), dtype=np.min_scalar_type(depth))
@@ -363,27 +365,21 @@ def _family_classes(fam: ConnectedFamily, depth: int, tid: np.ndarray,
         sets = fam.sets_of_size(k)
         if not len(sets):
             break
-        step = max(1, _KEY_CELLS // (degree * ev.shape[1] * k))
+        step = max(1, _CHUNK_CELLS // (inc.shape[1] * ev.shape[1] * k))
         rows, pre_lab = zip(*(
             _pre_keys(sets[lo:lo + step], fam.parents[k - 1][lo:lo + step],
-                      cls, lab, inc, ev, tid, order_free,
-                      _trace_codes(k, inc_pos))
+                      cls, lab, inc, ev, tid, order_free)
             for lo in range(0, len(sets), step)))
         first, pre = _unique_rows(np.concatenate(rows))
         # pre-classes in the family order of their first members
         order = np.argsort(first)
         first = first[order]
         pre = np.argsort(order)[pre]
-        step = max(1, _KEY_CELLS // (k * degree))
         keys, rank = zip(*(
-            _structure_keys(sets[first[lo:lo + step]], inc, inc_pos, tid,
+            _structure_keys(sets[first[lo:lo + step]], inc, ev, tid,
                             order_free)
             for lo in range(0, len(first), step)))
-        width = max(part.shape[1] for part in keys)
-        keys = np.concatenate([np.pad(part, ((0, 0), (width - part.shape[1],
-                                                      0)),
-                                      constant_values=-1) for part in keys])
-        reps, merged = _unique_rows(keys)
+        reps, merged = _unique_rows(np.concatenate(keys))
         cls = merged[pre]
         out.append((cls, first[reps]))
         if k < depth:
@@ -488,8 +484,8 @@ def compute_coefficient_tables(
     if ends[-1] >= 1 << 31:
         raise MemoryCapError(f"{ends[-1]} label sets overflow int32 indices")
 
-    inc, inc_pos, ev = fam.arrays
-    flat, start, keying = _spin_tables(g, inc_pos, depth)
+    inc, ev = fam.arrays
+    flat, start, keying = _spin_tables(g, depth)
     if keying is None:
         # every set its own class; only sizes past the largest component
         # are empty
@@ -521,7 +517,7 @@ def compute_coefficient_tables(
         cls[offset:ends[k - 1]] = first + batch_cls
         prev = idx
         idx = np.full((len(read) + 1, 1 << k), -1, dtype=np.int32)
-        step = max(1, _LATTICE_CELLS >> k)
+        step = max(1, _CHUNK_CELLS >> k)
         for lo in range(0, len(read), step):
             pick = read[lo:lo + step]
             _subset_index(idx[lo:lo + len(pick)], cls[offset + pick],

@@ -204,7 +204,8 @@ def off_circle_witness(k: int, beta: float,
     partition zero off the unit circle. Raises ValueError for a non-finite
     or in-range beta (no such witness exists) and for beta = 1, where the
     polynomial degenerates; refuses a witness of degree above 1024, whose
-    value at z = 1 passes the double range."""
+    value at z = 1 passes the double range, and one whose coefficients
+    overflow, before any root is computed."""
     if k < 2:
         raise ValueError("edge size must be >= 2")
     if not math.isfinite(beta):
@@ -222,6 +223,9 @@ def off_circle_witness(k: int, beta: float,
         raise HyperIsingError(
             f"the witness polynomial of degree {size} overflows double precision")
     c = witness_polynomial(size, beta)
+    if not np.isfinite(c).all():
+        raise HyperIsingError(f"the witness polynomial of degree {size}"
+                              f" overflows double precision at beta={beta:g}")
     if beta < rng.lo:
         # P(0) > 0 > P(1): the bisection root in (0, 1) is itself a zero
         # off the circle, so no companion matrix is needed

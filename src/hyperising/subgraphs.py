@@ -39,8 +39,8 @@ class ConnectedFamily:
     (count, s) array: parents[s-1][j, b] is the row of by_size[s-2]
     holding set j minus its b-th vertex, or -1 when that set is
     disconnected (always -1 for s = 1: the empty set is no label set).
-    arrays is the host's incidence (inc, inc_pos, ev) from `_edge_arrays`,
-    which the coefficient tables read too; it holds no spin table.
+    arrays is the host's incidence (inc, ev) from `_edge_arrays`, which
+    the coefficient tables read too; it holds no spin table.
     """
 
     host: Hypergraph
@@ -59,23 +59,20 @@ class ConnectedFamily:
 
 
 def _edge_arrays(g: Hypergraph):
-    """Padded incidence: incident edge ids per vertex and the vertex's
-    position in each, and vertex ids per edge (padded with n, which is no
-    vertex). The extra last edge meets nothing, so it pads every slot, at
-    position 0."""
+    """Padded incidence (inc, ev): incident edge ids per vertex, and vertex
+    ids per edge in the edge's order (padded with n, which is no vertex).
+    The extra last edge meets nothing, so it pads every row of inc."""
     dummy = len(g.edges)
     inc = np.full((g.n, max(1, g.max_degree)), dummy, dtype=np.int64)
-    inc_pos = np.zeros_like(inc)
     degree = [0] * g.n
     width = max(1, g.max_edge_size)
     ev = np.full((dummy + 1, width), g.n, dtype=np.int64)
     for i, e in enumerate(g.edges):
         ev[i, :e.size] = e.vertices
-        for place, v in enumerate(e.vertices):
+        for v in e.vertices:
             inc[v, degree[v]] = i
-            inc_pos[v, degree[v]] = place
             degree[v] += 1
-    return inc, inc_pos, ev
+    return inc, ev
 
 
 def _check_cap(stored: int, set_cap: int, size: int) -> None:
@@ -98,7 +95,7 @@ def enumerate_connected(g: Hypergraph, t: int,
         raise ValueError("size budget t must be >= 1")
     stored = g.n
     _check_cap(stored, set_cap, 1)
-    arrays = inc, _, ev = _edge_arrays(g)
+    arrays = inc, ev = _edge_arrays(g)
     near = ev[inc].reshape(g.n, inc.shape[1] * ev.shape[1])
     sets = np.arange(g.n, dtype=np.int64)[:, None]
     by_size, parents = [sets], [np.full((g.n, 1), -1, dtype=np.int64)]

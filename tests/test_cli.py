@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,22 @@ def test_tight_example_below_range_at_high_degree(capsys, k):
     res = rep["result"]
     assert res["witness_root"] == [res["bracket_root"], 0.0]
     assert res["circle_deviation"] > 1e-5
+
+
+def test_tight_example_refuses_an_overflowing_witness(capsys):
+    # 2 beta (beta > 1) or 3 beta (beta < 0) passes the double range, so a
+    # coefficient of the witness is infinite before any root is taken
+    for beta in ("1e308", "-1e308"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep, err = run_cli(capsys, ["tight-example", "--k", "3",
+                                              f"--beta={beta}"])
+        assert code == 2 and rep is None
+        assert err.startswith("refused:") and err.count("\n") == 1
+        assert "overflows double precision" in err
+    code, rep, _ = run_cli(capsys, ["tight-example", "--k", "3",
+                                    "--beta", "1e200"])
+    assert code == 0 and rep["result"]["edge_size_used"] == 2
 
 
 @pytest.mark.parametrize("k", [40, 70])

@@ -300,7 +300,7 @@ def literal_recurrence_hosts():
 def class_counts(g: Hypergraph, t: int) -> list[tuple[int, int]]:
     """(sets, classes) of each size up to t."""
     fam = enumerate_connected(g, t)
-    keying = coefficients._spin_tables(g, fam.arrays[1], t)[2]
+    keying = coefficients._spin_tables(g, t)[2]
     if keying is None:
         return [(len(sets), len(sets)) for sets in fam.by_size if len(sets)]
     return [(len(cls), len(reps)) for cls, reps
@@ -427,7 +427,7 @@ def test_classes_are_exact(g):
     # and tables do not depend on the chunking
     t = min(g.n, 6)
     fam = enumerate_connected(g, t)
-    keying = coefficients._spin_tables(g, fam.arrays[1], t)[2]
+    keying = coefficients._spin_tables(g, t)[2]
     assume(keying is not None)
     ids: dict = {}
     edges = []
@@ -437,18 +437,17 @@ def test_classes_are_exact(g):
                    for b in range(1 << e.size))
         edges.append((ids.setdefault((e.size, e.activity), len(ids)), free,
                       e.vertices))
-    inc, inc_pos, _ = fam.arrays
+    inc, ev = fam.arrays
     classes = coefficients._family_classes(fam, t, *keying)
     for sets, (cls, reps) in zip(fam.by_size, classes):
         forms = [canonical_form(edges, s) for s in sets.tolist()]
         assert cls[reps].tolist() == list(range(len(reps)))
         for j, c in enumerate(cls.tolist()):
             assert reps[c] <= j and forms[j] == forms[reps[c]]
-        keys = coefficients._structure_keys(sets, inc, inc_pos, *keying)[0]
+        keys = coefficients._structure_keys(sets, inc, ev, *keying)[0]
         assert len(reps) <= len(np.unique(keys, axis=0))
     want = compute_coefficient_tables(g, t, fam)
-    with mock.patch.object(coefficients, "_KEY_CELLS", 1 << 4), \
-            mock.patch.object(coefficients, "_LATTICE_CELLS", 1 << 6):
+    with mock.patch.object(coefficients, "_CHUNK_CELLS", 1 << 4):
         again = coefficients._family_classes(fam, t, *keying)
         got = compute_coefficient_tables(g, t, fam)
     for (cls, reps), (cls2, reps2) in zip(classes, again, strict=True):
@@ -459,10 +458,11 @@ def test_classes_are_exact(g):
 
 
 def test_chunking_does_not_change_tables(monkeypatch):
-    # with 64 lattice cells per chunk every size batch of these hosts
-    # spans many chunks, so coefficients of one batch read back rows of
-    # another chunk's sets and pair_scan_max folds over chunks; with 16
-    # key cells each set is keyed alone, and the classes stay the same
+    # with 16 cells per chunk every size batch of these hosts spans many
+    # chunks, one set per lattice chunk from size 4 on, so coefficients
+    # of one batch read back rows of another chunk's sets and
+    # pair_scan_max folds over chunks; each set is keyed alone, and the
+    # classes stay the same
     rng = random.Random(41)
     cases = []
     for n in range(2, 11):
@@ -472,8 +472,7 @@ def test_chunking_does_not_change_tables(monkeypatch):
     shared = [g for kind, g in literal_recurrence_hosts() if kind != "mixed"]
     classes = [class_counts(g, g.n) for g in shared]
     cases += [(g, g.n, compute_coefficient_tables(g, g.n)) for g in shared]
-    monkeypatch.setattr(coefficients, "_LATTICE_CELLS", 1 << 6)
-    monkeypatch.setattr(coefficients, "_KEY_CELLS", 1 << 4)
+    monkeypatch.setattr(coefficients, "_CHUNK_CELLS", 1 << 4)
     assert [class_counts(g, g.n) for g in shared] == classes
     for g, m, want in cases:
         got = compute_coefficient_tables(g, m)
@@ -522,8 +521,8 @@ def test_edge_products_match_set_weights(case):
     # E[j, x] = (-1)^|x| w(x) for the subset x of sets[j], and the rows of
     # a set do not depend on the other sets passed with it
     g, sets = case
-    inc, inc_pos, ev = _edge_arrays(g)
-    tables = coefficients._spin_tables(g, inc_pos, sets.shape[1])[:2]
+    inc, ev = _edge_arrays(g)
+    tables = coefficients._spin_tables(g, sets.shape[1])[:2]
     e = coefficients._edge_products(sets, inc, ev, *tables)
     assert e.shape == (len(sets), 1 << sets.shape[1])
     for row, labels in zip(e.tolist(), sets.tolist()):
@@ -537,6 +536,33 @@ def test_edge_products_match_set_weights(case):
                        coefficients._edge_products(sets[cut:], inc, ev,
                                                    *tables)])
     assert np.array_equal(split, e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(lattice_cases(), st.data())
+def test_slots_and_labels_match_brute_force(case, data):
+    # each slot row lists every edge meeting its set once, ascending, then
+    # only the dummy edge; a slot edge's positions read 1 + the label of
+    # the set vertex there, and 0 where the vertex is outside the set
+    g, sets = case
+    inc, ev = _edge_arrays(g)
+    dummy = len(g.edges)
+    labels = np.asarray([data.draw(st.permutations(range(sets.shape[1])))
+                         for _ in sets])
+    slot = coefficients._slots(sets, inc, ev)
+    lab = coefficients._labels_on(sets, labels, ev[slot])
+    assert slot.shape == (len(sets), sets.shape[1] * inc.shape[1])
+    for j, members in enumerate(sets.tolist()):
+        meeting = [i for i, e in enumerate(g.edges)
+                   if not set(members).isdisjoint(e.vertices)]
+        assert slot[j].tolist() == meeting + [dummy] * (slot.shape[1]
+                                                        - len(meeting))
+        label = dict(zip(members, labels[j].tolist()))
+        for s, e in enumerate(slot[j].tolist()):
+            verts = g.edges[e].vertices if e < dummy else ()
+            want = [1 + label[v] if v in label else 0 for v in verts]
+            assert lab[j, s].tolist() == want + [0] * (ev.shape[1]
+                                                       - len(want))
 
 
 def relabelled(g: Hypergraph, perm: list[int]) -> Hypergraph:
@@ -640,7 +666,7 @@ def test_spin_tables_count_each_distinct_activity_once(monkeypatch):
     edges = (ising_edge((0, 1, 2), 0.2), ising_edge((1, 3), 0.2),
              ising_edge((2, 3, 4), 0.2))
     g = Hypergraph(5, edges)
-    flat, start, _ = coefficients._spin_tables(g, _edge_arrays(g)[1], 3)
+    flat, start, _ = coefficients._spin_tables(g, 3)
     assert len(flat) == 13 and start.tolist() == [0, 8, 0, 12]
     assert flat[-1] == 1
     more = Hypergraph(5, edges + (ising_edge((0, 3, 4), 0.3),))

@@ -119,8 +119,8 @@ def test_induced_nesting_by_enumeration():
     assert any(isinstance(e.activity, TableActivity) for e in hosts[-1].edges)
     for g in hosts:
         fam = enumerate_connected(g, g.n)
-        inc, inc_pos, ev = fam.arrays
-        tables = _spin_tables(g, inc_pos, g.n)[:2]
+        inc, ev = fam.arrays
+        tables = _spin_tables(g, g.n)[:2]
         for k in range(1, g.n + 1):
             labs = fam.sets_of_size(k)
             if not len(labs):
