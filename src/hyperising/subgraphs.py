@@ -9,6 +9,22 @@ deduplicated. Every connected set of size s > 1 contains a connected
 subset of size s-1, so the growth procedure is exhaustive. Each size is
 one (count, s) int64 array of ascending rows in lexicographic order, the
 one form of a label set from here through the tables to the power sums.
+
+Each size is deduplicated and ordered by packed int64 keys, not by its
+rows. A vertex takes `bits` = the bit length of n-1 (at least 1), and a
+word holds `per` = 63 // bits vertices, so a set of size s is ceil(s/per)
+words: vertex c of the ascending row is digit c % per, counted from the
+top, of word c // per. Compared word by word, from word 0, keys compare
+as the rows do. A candidate is a set of size s-1 (its parent) and one
+vertex v outside it, at position b of the new set; its key is the
+parent's, kept from the size before, with v written in at digit b, the
+digits from b on moved one digit down and the last digit of each word
+carried into the next. Stable argsorts of the candidates' key words,
+the last word first, order them (one argsort when a set fits in one
+word, as on hosts of up to 512 vertices at size 7), runs of equal keys
+are the duplicates, and the rows of the distinct sets are decoded from
+their keys, so no candidate row is built.
+
 The family records its host and keeps the host's incidence arrays, built
 once here, so the coefficient tables of the same family read them instead
 of building them again, and refuse a family of another host. Enumeration
@@ -17,6 +33,7 @@ needs no spin table: the coefficient tables build those themselves.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -26,6 +43,8 @@ from .errors import MemoryCapError
 from .hypergraph import Hypergraph
 
 DEFAULT_SET_CAP = 1 << 26
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +106,15 @@ def enumerate_connected(g: Hypergraph, t: int,
                         set_cap: int = DEFAULT_SET_CAP) -> ConnectedFamily:
     """All connected label sets of size <= t, exactly and deduplicated.
 
+    Size s is built from size s-1: every pair (parent j, vertex v of an
+    edge meeting set j, outside it) is a candidate, keyed from set j's
+    key words as the module docstring lays out. Sorting the key words
+    puts the candidates in row order; the first of each run of equal keys
+    is a set, and each pair of the run, with v at position b of the set,
+    gives parents[s-1][set, b] = j. The key words of size s are kept to
+    build size s+1. One INFO line on this module's logger gives the sets
+    stored, the largest size reached and its key words.
+
     Raises MemoryCapError once the number of stored sets, the n
     singletons included, passes set_cap; growth is (e*Delta*k)^t in the
     worst case, so the cap fails loudly instead of swapping.
@@ -97,10 +125,29 @@ def enumerate_connected(g: Hypergraph, t: int,
     _check_cap(stored, set_cap, 1)
     arrays = inc, ev = _edge_arrays(g)
     near = ev[inc].reshape(g.n, inc.shape[1] * ev.shape[1])
+    bits = max(1, (g.n - 1).bit_length())
+    per = 63 // bits
+    digit, top = (1 << bits) - 1, bits * (per - 1)
+    # per word w, by the position b of v: the digits of word w that move
+    # one digit down (-1, all of them, when b is in an earlier word; none
+    # when it is in a later one) and v's place value in word w (0 unless
+    # b is in it); no set is larger than min(t, n), so neither is b
+    span = min(t, g.n)
+    shift = list(range(top, top - bits * min(per, span), -bits))
+    place = [1 << s for s in shift]
+    tail = [x * digit | x - 1 for x in place]
+    moves, value = [], []
+    for lo in range(0, span, per):
+        rest = [0] * (span - lo - len(place))
+        moves.append(np.array([-1] * lo + tail + rest))
+        value.append(np.array([0] * lo + place + rest))
+    shift = np.array(shift)
     sets = np.arange(g.n, dtype=np.int64)[:, None]
+    keys = [sets[:, 0] << top]
     by_size, parents = [sets], [np.full((g.n, 1), -1, dtype=np.int64)]
     for size in range(2, t + 1):
-        if not len(sets):  # past the largest component: no set grows
+        # past the host or its largest component: no set grows
+        if size > span or not len(sets):
             by_size.append(np.empty((0, size), dtype=np.int64))
             parents.append(np.empty((0, size), dtype=np.int64))
             continue
@@ -112,27 +159,60 @@ def enumerate_connected(g: Hypergraph, t: int,
         nb.sort(axis=1)
         nb[:, 1:][nb[:, 1:] == nb[:, :-1]] = g.n
         row, col = np.nonzero(nb < g.n)
-        base, vert = sets[row], nb[row, col]
+        vert = nb[row, col]
+        del nb, col
         # a set of this size is reached once per connected parent, so at
-        # most `size` times: refuse before building rows past the cap
+        # most `size` times: refuse before building keys past the cap
         _check_cap(stored + -(-len(row) // size), set_cap, size)
-        ext = np.sort(np.concatenate([base, vert[:, None]], axis=1), axis=1)
-        order = np.lexsort(ext.T[::-1])
-        ext = ext[order]
-        first = np.ones(len(ext), dtype=bool)
-        first[1:] = (ext[1:] != ext[:-1]).any(axis=1)
         # the pair (parent j, vertex v) lands on L = j + v with v at
-        # position b of L; every connected L \ {v} has such a pair
-        pos = (base < vert[:, None]).sum(axis=1)
-        sets = ext[first]
+        # position b of L; every connected L \ {v} has such a pair. Its
+        # key: set j's digits before b stay, v goes in at b, and the digits
+        # from b on move one digit down
+        pos = np.add.reduce(sets[row] < vert[:, None], axis=1)
+        cand = []
+        for w in range(-(-size // per)):
+            word = keys[w][row] if w < len(keys) else np.zeros_like(row)
+            moved = word & moves[w][pos]
+            key = (word ^ moved) | (moved >> bits) | vert * value[w][pos]
+            if w:  # the last digit of word w - 1 moved down into word w
+                key |= (carry & digit) << top
+            carry = moved
+            cand.append(key)
+        del word, moved, carry, key, keys
+        # stable sorts by the last word first order the keys as the rows
+        # (one argsort when a set is one word); runs of equal keys are one
+        # set, and each of its pairs gives one of its parents
+        order = cand[-1].argsort(kind="stable")
+        for c in cand[-2::-1]:
+            order = order[c[order].argsort(kind="stable")]
+        cand = [c[order] for c in cand]
+        first = np.empty(len(order), dtype=bool)
+        first[:1] = True
+        np.not_equal(cand[0][1:], cand[0][:-1], out=first[1:])
+        for c in cand[1:]:
+            first[1:] |= c[1:] != c[:-1]
+        keys = [c[first] for c in cand]
+        del cand
+        sets = np.empty((len(keys[0]), size), dtype=np.int64)
+        for w, key in enumerate(keys):
+            cols = sets[:, w * per:(w + 1) * per]
+            np.bitwise_and(key[:, None] >> shift[:cols.shape[1]], digit,
+                           out=cols)
         stored += len(sets)
         _check_cap(stored, set_cap, size)
-        par = np.full(sets.shape, -1, dtype=np.int64)
-        par[np.cumsum(first) - 1, pos[order]] = row[order]
+        par = np.empty(sets.shape, dtype=np.int64)
+        par.fill(-1)
+        par[first.cumsum() - 1, pos[order]] = row[order]
+        del row, vert, pos, order, first
         by_size.append(sets)
         parents.append(par)
     for a in (*by_size, *parents, *arrays):
         a.flags.writeable = False
+    if log.isEnabledFor(logging.INFO):
+        reached = sum(1 for a in by_size if len(a))
+        log.info("connected sets: %d up to size %d, key words at size %d:"
+                 " %d (%d vertices of %d bits a word)", stored, reached,
+                 reached, -(-reached // per), per, bits)
     return ConnectedFamily(g, t, tuple(by_size), tuple(parents), arrays)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,16 @@ def table_dicts(ct, g: Hypergraph) -> list[dict[int, complex]]:
     masks = [sum(1 << v for v in row) for rows in fam.by_size
              for row in rows.tolist()]
     return [dict(zip(masks, t.tolist())) for t in ct.tables]
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def spanning_tree_count(adj: np.ndarray) -> int:

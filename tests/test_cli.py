@@ -493,6 +493,26 @@ def test_verbose_is_set_per_call_in_one_process(capsys, write_doc):
                             done)
 
 
+def test_enumerate_verbose_logs_the_family_once(capsys, write_doc):
+    # one line from enumeration, with the set count, the largest size and
+    # its key words; the report does not change
+    argv = ["enumerate", write_doc(PATH_DOC), "--t", "3", "--emit-sets"]
+    code, quiet, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    code, loud, err = run_cli(capsys, argv + ["--verbose"])
+    assert code == 0
+    lines = err.splitlines()
+    assert [line for line in lines if "hyperising.subgraphs" in line] == [
+        "INFO hyperising.subgraphs: connected sets: 6 up to size 3, key"
+        " words at size 3: 1 (31 vertices of 2 bits a word)"]
+    assert len(lines) == 2
+    assert re.fullmatch(r"INFO hyperising: enumerate finished in [\d.]+s",
+                        lines[1])
+    for rep in (quiet, loud):
+        rep.pop("timings")
+    assert json.dumps(quiet, indent=2) == json.dumps(loud, indent=2)
+
+
 def test_sweep_past_the_default_cap_answers_at_once(capsys):
     # 2^50 label sets; the transfer matrix's frontier stays at width 10
     argv = ["sweep", "--random-regular", "50,3", "--oracle-cap", "50",

@@ -2,7 +2,6 @@ import cmath
 import itertools
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -32,8 +31,8 @@ from hyperising.subgraphs import _edge_arrays
 
 from conftest import (brute_connected_sets, disjoint_union, edgeless,
                       ising_edge, k2, max_coeff_rel_err, path_graph,
-                      set_weight, single_edge, table_dicts, triangle,
-                      with_uniform_beta)
+                      set_weight, single_edge, table_dicts, traced_peak,
+                      triangle, with_uniform_beta)
 
 
 def test_insect_weight_examples():
@@ -612,15 +611,6 @@ def test_relabelling_moves_power_sums_by_rounding_only(case):
     q = power_sums(compute_coefficient_tables(relabelled(g, perm), m))
     for a, b in zip(p, q):
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
-
-
-def traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_table_build_memory_stays_bounded():

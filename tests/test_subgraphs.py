@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 
@@ -13,7 +14,8 @@ from hyperising import (
     count_bound,
     enumerate_connected,
 )
-from hyperising.instances import random_connected_hypergraph
+from hyperising.instances import (random_connected_hypergraph,
+                                  random_regular_graph)
 
 from conftest import (
     brute_connected_sets,
@@ -24,6 +26,7 @@ from conftest import (
     path3,
     single_edge,
     subtree_count,
+    traced_peak,
     triangle,
 )
 
@@ -73,6 +76,78 @@ def test_sets_and_parents_match_brute_force(g):
         for lab, par in zip(rows.tolist(), fam.parents[s - 1].tolist()):
             assert par == [below.get(tuple(lab[:b] + lab[b + 1:]), -1)
                            for b in range(s)]
+
+
+def grown_family(g: Hypergraph, t: int):
+    """Rows and parents by size, grown in plain Python: set j of one size
+    and each vertex u sharing an edge with it, outside it, give the set of
+    the next size with u inserted, whose parent at u's position is j. Each
+    size is sorted only once it is complete."""
+    near = [set() for _ in range(g.n)]
+    for e in g.edges:
+        for v in e.vertices:
+            near[v].update(e.vertices)
+    level = [(v,) for v in range(g.n)]
+    rows, parents = [level], [[[-1]] * g.n]
+    for size in range(2, t + 1):
+        grown = {}
+        for j, row in enumerate(level):
+            for u in set().union(*map(near.__getitem__, row)).difference(row):
+                b = bisect.bisect(row, u)
+                key = row[:b] + (u,) + row[b:]
+                if key not in grown:
+                    grown[key] = [-1] * size
+                grown[key][b] = j
+        level = sorted(grown)
+        rows.append(level)
+        parents.append([grown[row] for row in level])
+    return rows, parents
+
+
+def assert_grown_family(g: Hypergraph, t: int) -> None:
+    fam = enumerate_connected(g, t)
+    rows, parents = grown_family(g, t)
+    for s in range(1, t + 1):
+        assert np.array_equal(fam.by_size[s - 1],
+                              np.array(rows[s - 1]).reshape(-1, s)), s
+        assert np.array_equal(fam.parents[s - 1],
+                              np.array(parents[s - 1]).reshape(-1, s)), s
+
+
+@st.composite
+def wide_label_hosts(draw):
+    """A split host on 10 or fewer labels drawn from [0, 8192), every other
+    vertex isolated: 13 bits a vertex and 4 vertices a key word, so sets
+    of 5 or more take two words (9 or more, three)."""
+    g = draw(split_hosts())
+    labels = draw(st.lists(st.integers(0, 8191), min_size=g.n,
+                           max_size=g.n, unique=True))
+    edges = tuple(ising_edge([labels[v] for v in e.vertices], 0.5)
+                  for e in g.edges)
+    return Hypergraph(8192, edges), g.n
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(wide_label_hosts())
+def test_keys_across_words_match_grown_sets(case):
+    # a vertex goes in at every position of a set, so the digits moved one
+    # down carry out of every word into the next
+    g, t = case
+    assert_grown_family(g, t)
+
+
+def test_keys_across_words_on_a_large_cubic_host():
+    # 11 bits a vertex and 5 a word: sizes 6 and 7 take two words
+    g = random_regular_graph(random.Random(1), 1100, 3, 0.2)
+    assert_grown_family(g, 7)
+
+
+def test_enumeration_memory_stays_bounded():
+    # 121 777 sets: sorting and comparing every candidate row peaked at
+    # 66 MiB; keys grown from the parents' keys, with each size's
+    # candidates dropped before the next, peak at 32 MiB
+    g = random_regular_graph(random.Random(200), 200, 3, 0.2)
+    assert traced_peak(lambda: enumerate_connected(g, 8)) < 60 * 2 ** 20
 
 
 def test_path_size_two_family():
