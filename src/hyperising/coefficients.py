@@ -66,7 +66,11 @@ Algorithms 1998):
   structure, in the refinement order, so the two orders map the equal
   structures onto each other;
 * each set's labelling is the refinement order of its pre-class's first
-  member, carried over through the labels it grew with.
+  member, carried over through the labels it grew with;
+* a size of one pre-class is one class, and its sets keep their
+  pre-labels, so neither keys nor relabelling run for it. Every set then
+  has one labelled structure, so the next size's pre-keys differ only by
+  one fixed relabelling, which splits and merges nothing.
 Refinement thus runs once per pre-class, not once per set, and a class
 holds every set whose own key is its key, so there are no more classes
 than keys. A representative reads each subset S2 at the value of S2's
@@ -89,9 +93,12 @@ size up, and only those rows are indexed (every row, without marking,
 when each set is its own class). The host's incidence arrays come with
 the family, built once by the enumeration; the spin tables are built
 here alone, each distinct (size, activity) table once, back to back in
-one flat array. The finished tables are value arrays aligned with the
-rows of the family's size arrays, smaller sets first, and p_t is their
-correctly rounded sum; the table does not keep the family.
+one flat array. The finished table holds one value per class and order
+and the number of sets in each class, and p_t sums count times value
+over the classes exactly, rounded once, which is the correctly rounded
+sum over the sets. The per-set tables are a view built on request from
+each row's class; the table does not keep the family. One INFO line per
+build gives the sets, pre-classes and classes of each size.
 
 Elementary symmetric functions of the reciprocal roots follow from the
 power sums by Newton's identities; with the all-minus normalization the
@@ -102,6 +109,7 @@ tables to depth n // 2 already fix it (`complete_self_inversive`).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -118,21 +126,49 @@ from .subgraphs import ConnectedFamily, enumerate_connected
 _CHUNK_CELLS = 1 << 17
 # spin-table entries per host (1 GiB), which keeps table codes in int64
 _TABLE_ENTRIES = 1 << 26
+# Veltkamp's factor splits a double into two halves of 26 bits, which a
+# count below 2^27 multiplies exactly; values below 2^996 split without
+# overflow
+_SPLIT = 2.0 ** 27 + 1
+_SPLIT_COUNT = 1 << 27
+_SPLIT_VALUE = 2.0 ** 996
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
 class CoefficientTable:
-    """Per-order power-sum coefficients of the connected label sets.
+    """Per-order power-sum coefficients of the structural classes of the
+    connected label sets.
 
-    tables[t-1] is a read-only complex array of the order-t coefficients
-    of exactly the connected sets of size <= t, in the order of the
-    family's rows: all sets of size 1, then of size 2, and so on.
+    values[t-1, c] is the order-t coefficient of every set of class c, and
+    counts[c] the number of sets in class c. The classes of each size
+    follow those of the smaller sizes, and class_ends[t-1] is the number
+    of classes of sets of size <= t, so values[t-1, :class_ends[t-1]]
+    covers exactly the sets of size <= t. cls[r] is the class of the r-th
+    row of the family: all sets of size 1, then of size 2, and so on.
     pair_scan_max[t-1] is the largest number of (S1, S2) pairs in the
-    recurrence of any one label set at order t (bounded by 4^t).
+    recurrence of any one label set at order t (bounded by 4^t). All
+    arrays are read-only.
     """
 
-    tables: tuple[np.ndarray, ...]
+    values: np.ndarray
+    counts: np.ndarray
+    cls: np.ndarray
+    class_ends: tuple[int, ...]
     pair_scan_max: tuple[int, ...]
+
+    @property
+    def tables(self) -> tuple[np.ndarray, ...]:
+        """tables[t-1]: a read-only complex array of the order-t
+        coefficients of the connected sets of size <= t, one per set in the
+        order of the family's rows; built from the classes on each access."""
+        out = []
+        for t, end in enumerate(self.class_ends):
+            table = self.values[t, self.cls[:self.counts[:end].sum()]]
+            table.flags.writeable = False
+            out.append(table)
+        return tuple(out)
 
 
 def _slots(sets: np.ndarray, inc: np.ndarray, ev: np.ndarray) -> np.ndarray:
@@ -346,15 +382,17 @@ def _unique_rows(rows: np.ndarray) -> tuple:
 
 def _family_classes(fam: ConnectedFamily, depth: int, tid: np.ndarray,
                     order_free: np.ndarray) -> list:
-    """[(cls, reps)] for each non-empty size k <= depth: the class of each
-    set of size k, numbered in the order of the sorted keys, and the row
-    of each class's first member. The classes of size k grow from those
-    of size k - 1 (see the module docstring): `_pre_keys` splits the sets
-    into pre-classes, `_structure_keys` keys the first member of each, and
-    pre-classes with equal keys merge; both run in chunks of _CHUNK_CELLS
-    slot cells, and every key row of size k is k * degree slots wide. A
-    set's labelling, which the next size reads, is the key order of its
-    pre-class's first member, carried over through the pre-labels.
+    """[(cls, reps, pre)] for each non-empty size k <= depth: the class of
+    each set of size k, numbered in the order of the sorted keys, the row
+    of each class's first member, and the number of pre-classes. The
+    classes of size k grow from those of size k - 1 (see the module
+    docstring): `_pre_keys` splits the sets into pre-classes,
+    `_structure_keys` keys the first member of each, and pre-classes with
+    equal keys merge; both run in chunks of _CHUNK_CELLS slot cells, and
+    every key row of size k is k * degree slots wide. A set's labelling,
+    which the next size reads, is the key order of its pre-class's first
+    member, carried over through the pre-labels; a lone pre-class is one
+    class, and its sets keep their pre-labels.
     """
     inc, ev = fam.arrays
     # the empty set, reached through the parent -1 of every singleton
@@ -371,6 +409,14 @@ def _family_classes(fam: ConnectedFamily, depth: int, tid: np.ndarray,
                       cls, lab, inc, ev, tid, order_free)
             for lo in range(0, len(sets), step)))
         first, pre = _unique_rows(np.concatenate(rows))
+        if len(first) == 1:
+            # one pre-class is one class, and its pre-labels label every
+            # set by one labelled structure
+            cls = pre
+            out.append((cls, first, 1))
+            if k < depth:
+                lab = np.concatenate(pre_lab)
+            continue
         # pre-classes in the family order of their first members
         order = np.argsort(first)
         first = first[order]
@@ -381,7 +427,7 @@ def _family_classes(fam: ConnectedFamily, depth: int, tid: np.ndarray,
             for lo in range(0, len(first), step)))
         reps, merged = _unique_rows(np.concatenate(keys))
         cls = merged[pre]
-        out.append((cls, first[reps]))
+        out.append((cls, first[reps], len(first)))
         if k < depth:
             pre_lab = np.concatenate(pre_lab)
             relabel = np.empty((len(first), k), dtype=lab.dtype)
@@ -489,11 +535,11 @@ def compute_coefficient_tables(
     if keying is None:
         # every set its own class; only sizes past the largest component
         # are empty
-        classes = [(np.arange(len(sets)),) * 2
+        classes = [(np.arange(len(sets)),) * 2 + (len(sets),)
                    for sets in fam.by_size[:depth] if len(sets)]
     else:
         classes = _family_classes(fam, depth, *keying)
-    reps = [own for _, own in classes]
+    reps = [own for _, own, _ in classes]
     # every row is its own class's representative on unkeyed hosts, so
     # every row is read there; elsewhere only the representatives' closure
     rows = reps if keying is None else _index_rows(fam.parents, reps)
@@ -510,7 +556,8 @@ def compute_coefficient_tables(
     # last row
     idx = np.full((1, 1), -1, dtype=np.int32)
     at = np.zeros(1, dtype=np.int64)
-    for k, ((batch_cls, own), read) in enumerate(zip(classes, rows), start=1):
+    for k, ((batch_cls, own, _), read) in enumerate(zip(classes, rows),
+                                                    start=1):
         sets = fam.sets_of_size(k)
         offset = ends[k - 1] - len(sets)
         first = firsts[k - 1]
@@ -556,21 +603,79 @@ def compute_coefficient_tables(
                     acc -= k * e[:, -1]
                 values[t, first + lo:first + hi] = acc
 
-    # each set takes its class's value; sets come in ascending size, so
-    # those of size <= t are a prefix
-    tables = []
-    for t in range(1, m + 1):
-        table = values[t, cls[:ends[min(t, depth) - 1]]]
-        table.flags.writeable = False
-        tables.append(table)
-    return CoefficientTable(tuple(tables), tuple(scan_max[1:]))
+    counts = np.bincount(cls, minlength=firsts[-1])
+    values = values[1:]
+    for a in (values, counts, cls):
+        a.flags.writeable = False
+    if log.isEnabledFor(logging.INFO):
+        sizes = "/".join(str(len(c)) for c, _, _ in classes)
+        if keying is None:
+            log.info("coefficient tables to order %d over sizes 1..%d: %s"
+                     " sets, each its own class", m, len(classes), sizes)
+        else:
+            log.info("coefficient tables to order %d over sizes 1..%d: %s"
+                     " sets in %s pre-classes and %s classes", m,
+                     len(classes), sizes,
+                     "/".join(str(p) for _, _, p in classes),
+                     "/".join(str(len(r)) for _, r, _ in classes))
+    return CoefficientTable(
+        values, counts, cls,
+        tuple(int(firsts[min(t, len(reps))]) for t in range(1, m + 1)),
+        tuple(scan_max[1:]))
+
+
+def _class_sums(x: np.ndarray, counts: np.ndarray,
+                ends: Sequence[int]) -> list[float]:
+    """For each row r of x, the sum over the classes c < ends[r] of
+    counts[c] * x[r, c], correctly rounded, so equal to math.fsum over
+    the sets, one term per set.
+
+    A class of one set adds its value. Any other value is split in two
+    halves of 26 bits (Veltkamp, with the factor 2^27 + 1), so a count
+    below 2^27 times either half is exact, and fsum rounds the exact sum
+    once. Past that count, or at a magnitude where the split could
+    overflow, the sums are taken in rationals; a non-finite value decides
+    its sum as it does in math.fsum.
+    """
+    many = counts > 1
+    if not many.any():  # every class is one set
+        return [math.fsum(row[:end].tolist()) for row, end in zip(x, ends)]
+    ones, groups = np.flatnonzero(~many), np.flatnonzero(many)
+    y, c = x[:, groups], counts[groups]
+    if c.max() < _SPLIT_COUNT and np.all(np.abs(y) < _SPLIT_VALUE):
+        big = y * _SPLIT
+        hi = big - (big - y)
+        c = c.astype(np.float64)
+        hi, lo = c * hi, c * (y - hi)
+        single = x[:, ones]
+        return [math.fsum(single[r, :a].tolist() + hi[r, :b].tolist()
+                          + lo[r, :b].tolist())
+                for r, (a, b) in enumerate(zip(
+                    np.searchsorted(ones, ends).tolist(),
+                    np.searchsorted(groups, ends).tolist()))]
+    # imported here: fractions adds to every import of the package, and
+    # only counts past 2^27 or values past 2^996 come here
+    from fractions import Fraction
+    out = []
+    for row, end in zip(x.tolist(), ends):
+        if all(map(math.isfinite, row[:end])):
+            out.append(float(sum(Fraction(v) * k for v, k in
+                                 zip(row[:end], counts[:end].tolist()))))
+        else:
+            out.append(math.fsum(row[:end]))
+    return out
 
 
 def power_sums(ctable: CoefficientTable) -> list[complex]:
     """p_t = sum of the order-t coefficients over the connected label
-    sets, correctly rounded in each part and so independent of set order."""
-    return [complex(math.fsum(a.real), math.fsum(a.imag))
-            for a in ctable.tables]
+    sets: over the classes of sets of size <= t, count times value,
+    summed exactly and rounded once in each part (`_class_sums`). So p_t
+    is the correctly rounded sum over the sets, whatever their order."""
+    m = len(ctable.class_ends)
+    sums = _class_sums(
+        np.concatenate([ctable.values.real, ctable.values.imag]),
+        ctable.counts, ctable.class_ends * 2)
+    return [complex(re, im) for re, im in zip(sums[:m], sums[m:])]
 
 
 def power_sums_to_elementary(p: Sequence[complex]) -> list[complex]:

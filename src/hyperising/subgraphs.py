@@ -25,6 +25,18 @@ word, as on hosts of up to 512 vertices at size 7), runs of equal keys
 are the duplicates, and the rows of the distinct sets are decoded from
 their keys, so no candidate row is built.
 
+The candidates are read off codes that each set carries to the next
+size: one ascending row per set, a code u * (n+1) + b for each vertex u
+outside the set on an edge meeting it, where b, the number of members
+below u, is u's position in the set grown by u. The singletons' codes
+come from the incidence. A set L of the next size takes its codes from
+its first pair (set j, vertex v): set j's codes but v's, with b one up
+past v, merged with the codes of v's mates outside L, each b counted
+against L's members, and the repeats dropped. So no size gathers the
+neighbours of every member again, and no pair counts its b. The codes
+are kept in the smallest unsigned type that holds (n+1)^2 (int64 past
+32 bits), and the last size grown keeps none.
+
 The family records its host and keeps the host's incidence arrays, built
 once here, so the coefficient tables of the same family read them instead
 of building them again, and refuse a family of another host. Enumeration
@@ -82,15 +94,17 @@ def _edge_arrays(g: Hypergraph):
     ids per edge in the edge's order (padded with n, which is no vertex).
     The extra last edge meets nothing, so it pads every row of inc."""
     dummy = len(g.edges)
-    inc = np.full((g.n, max(1, g.max_degree)), dummy, dtype=np.int64)
-    degree = [0] * g.n
-    width = max(1, g.max_edge_size)
-    ev = np.full((dummy + 1, width), g.n, dtype=np.int64)
-    for i, e in enumerate(g.edges):
-        ev[i, :e.size] = e.vertices
-        for v in e.vertices:
-            inc[v, degree[v]] = i
-            degree[v] += 1
+    ends = [e.vertices for e in g.edges]
+    width = max(1, max(map(len, ends), default=0))
+    rows: list[list[int]] = [[] for _ in range(g.n)]
+    for i, vs in enumerate(ends):
+        for v in vs:
+            rows[v].append(i)
+    degree = max(1, max(map(len, rows), default=0))
+    inc = np.array([r + [dummy] * (degree - len(r)) for r in rows],
+                   dtype=np.int64).reshape(g.n, degree)
+    ev = np.array([vs + (g.n,) * (width - len(vs)) for vs in ends]
+                  + [(g.n,) * width], dtype=np.int64)
     return inc, ev
 
 
@@ -102,18 +116,64 @@ def _check_cap(stored: int, set_cap: int, size: int) -> None:
         )
 
 
+def _mate_codes(sets: np.ndarray, mates: np.ndarray, base: int,
+                pad: int) -> np.ndarray:
+    """code[j, c] = u * base + b for the vertex u = mates[j, c] outside
+    sets[j], b the number of members of sets[j] below u; pad for members,
+    and pad or past it for the padding mate u = base - 1."""
+    # numpy adds bytes to unsigned integers faster than booleans
+    members = sets.T[:, :, None]
+    code = mates * base + (members[0] < mates).view(np.uint8)
+    inside = members[0] == mates
+    for member in members[1:]:
+        code += (member < mates).view(np.uint8)
+        inside |= member == mates
+    code[inside] = pad
+    return code
+
+
+def _distinct(codes: np.ndarray, pad: int) -> np.ndarray:
+    """Each row of codes ascending with its repeats dropped, the padding
+    (pad and past it) last, cut to the widest row."""
+    codes.sort(axis=1)
+    tail = codes[:, 1:]
+    tail[tail == codes[:, :-1]] = pad
+    codes.sort(axis=1)
+    # the column minima ascend, as every row does
+    width = np.searchsorted(codes.min(axis=0, initial=pad), pad)
+    return codes[:, :width].copy() if width < codes.shape[1] else codes
+
+
+def _grown_codes(codes: np.ndarray, sets: np.ndarray, j: np.ndarray,
+                 v: np.ndarray, near: np.ndarray, base: int,
+                 pad: int) -> np.ndarray:
+    """The codes of the sets sets[i], each set j[i] of the size below
+    with v[i] added: set j[i]'s codes but v[i]'s, one position up past
+    v[i], and the codes of v[i]'s mates outside sets[i]."""
+    old = codes.take(j, axis=0)
+    up = old // base
+    mates = near.take(v, axis=0)
+    v = v[:, None]
+    old += (up > v).view(np.uint8)
+    old[up == v] = pad
+    return _distinct(np.concatenate(
+        [old, _mate_codes(sets, mates, base, pad)], axis=1), pad)
+
+
 def enumerate_connected(g: Hypergraph, t: int,
                         set_cap: int = DEFAULT_SET_CAP) -> ConnectedFamily:
     """All connected label sets of size <= t, exactly and deduplicated.
 
     Size s is built from size s-1: every pair (parent j, vertex v of an
-    edge meeting set j, outside it) is a candidate, keyed from set j's
-    key words as the module docstring lays out. Sorting the key words
-    puts the candidates in row order; the first of each run of equal keys
-    is a set, and each pair of the run, with v at position b of the set,
-    gives parents[s-1][set, b] = j. The key words of size s are kept to
-    build size s+1. One INFO line on this module's logger gives the sets
-    stored, the largest size reached and its key words.
+    edge meeting set j, outside it) is a candidate, read off set j's
+    carried codes and keyed from its key words as the module docstring
+    lays out. Sorting the key words puts the candidates in row order; the
+    first of each run of equal keys is a set, and each pair of the run,
+    with v at position b of the set, gives parents[s-1][set, b] = j. The
+    key words of size s are kept to build size s+1, and so are its codes
+    unless s is the last size grown. One INFO line on this module's
+    logger gives the sets stored, the largest size reached and its key
+    words.
 
     Raises MemoryCapError once the number of stored sets, the n
     singletons included, passes set_cap; growth is (e*Delta*k)^t in the
@@ -124,7 +184,6 @@ def enumerate_connected(g: Hypergraph, t: int,
     stored = g.n
     _check_cap(stored, set_cap, 1)
     arrays = inc, ev = _edge_arrays(g)
-    near = ev[inc].reshape(g.n, inc.shape[1] * ev.shape[1])
     bits = max(1, (g.n - 1).bit_length())
     per = 63 // bits
     digit, top = (1 << bits) - 1, bits * (per - 1)
@@ -142,8 +201,24 @@ def enumerate_connected(g: Hypergraph, t: int,
         moves.append(np.array([-1] * lo + tail + rest))
         value.append(np.array([0] * lo + place + rest))
     shift = np.array(shift)
+    # a set's code u * base + b stands for a vertex u outside it on an
+    # edge meeting it, at position b of the set grown by u. Codes from
+    # pad (u = n, no vertex) on are padding and sort last; a padding code
+    # moves up by at most 1 a size, so none passes (n + 1)^2
+    base = g.n + 1
+    pad = g.n * base
     sets = np.arange(g.n, dtype=np.int64)[:, None]
+    # each vertex's mates: the other vertices of its edges, ascending, in
+    # the smallest unsigned type that holds every code, but int64 past
+    # 32 bits (uint64 and int64 mix to float64)
+    kind = np.min_scalar_type(base * base)
+    near = ev[inc].reshape(g.n, inc.shape[1] * ev.shape[1]).astype(
+        kind if kind.itemsize < 8 else np.int64)
+    near[near == sets] = g.n
+    near = _distinct(near, g.n)
     keys = [sets[:, 0] << top]
+    # a singleton u's mates w take position b = [w > u]
+    codes = near * base + (near > sets)
     by_size, parents = [sets], [np.full((g.n, 1), -1, dtype=np.int64)]
     for size in range(2, t + 1):
         # past the host or its largest component: no set grows
@@ -151,16 +226,12 @@ def enumerate_connected(g: Hypergraph, t: int,
             by_size.append(np.empty((0, size), dtype=np.int64))
             parents.append(np.empty((0, size), dtype=np.int64))
             continue
-        # every vertex of an edge meeting set j, once, outside set j; the
-        # padding, members and repeats become g.n, which is no vertex
-        nb = near[sets].reshape(len(sets), (size - 1) * near.shape[1])
-        for member in sets.T:
-            nb[nb == member[:, None]] = g.n
-        nb.sort(axis=1)
-        nb[:, 1:][nb[:, 1:] == nb[:, :-1]] = g.n
-        row, col = np.nonzero(nb < g.n)
-        vert = nb[row, col]
-        del nb, col
+        # the pairs (parent j, vertex v), row by row in ascending v
+        row, col = np.nonzero(codes < pad)
+        vert, pos = np.divmod(codes[row, col], base)
+        del col
+        if size == span:
+            codes = None
         # a set of this size is reached once per connected parent, so at
         # most `size` times: refuse before building keys past the cap
         _check_cap(stored + -(-len(row) // size), set_cap, size)
@@ -168,7 +239,6 @@ def enumerate_connected(g: Hypergraph, t: int,
         # position b of L; every connected L \ {v} has such a pair. Its
         # key: set j's digits before b stay, v goes in at b, and the digits
         # from b on move one digit down
-        pos = np.add.reduce(sets[row] < vert[:, None], axis=1)
         cand = []
         for w in range(-(-size // per)):
             word = keys[w][row] if w < len(keys) else np.zeros_like(row)
@@ -203,9 +273,14 @@ def enumerate_connected(g: Hypergraph, t: int,
         par = np.empty(sets.shape, dtype=np.int64)
         par.fill(-1)
         par[first.cumsum() - 1, pos[order]] = row[order]
-        del row, vert, pos, order, first
         by_size.append(sets)
         parents.append(par)
+        first = order[first]
+        j, v = row[first], vert[first]
+        del row, vert, pos, order, first
+        if codes is not None:
+            codes = _grown_codes(codes, sets, j, v, near, base, pad)
+        del j, v
     for a in (*by_size, *parents, *arrays):
         a.flags.writeable = False
     if log.isEnabledFor(logging.INFO):

@@ -513,6 +513,39 @@ def test_enumerate_verbose_logs_the_family_once(capsys, write_doc):
     assert json.dumps(quiet, indent=2) == json.dumps(loud, indent=2)
 
 
+PATH6_DOC = {"n": 6, "edges": [{"v": [v, v + 1], "beta": 0.5}
+                              for v in range(5)]}
+
+
+@pytest.mark.parametrize("doc, command, line", [
+    (PATH6_DOC, ["coeffs", "--m", "6"], "to order 3 over sizes 1..3: 6/5/4"
+     " sets in 2/3/3 pre-classes and 2/2/2 classes"),
+    (PATH6_DOC, ["approx", "--lambda", "0.9", "--epsilon", "0.01"],
+     "to order 3 over sizes 1..3: 6/5/4 sets in 2/3/3 pre-classes and"
+     " 2/2/2 classes"),
+    (EDGE3_DOC, ["coeffs", "--m", "3"], "to order 1 over sizes 1..1: 3 sets,"
+     " each its own class"),
+])
+def test_verbose_logs_each_table_build_once(capsys, write_doc, doc, command,
+                                            line):
+    # one line per table build: the sets, pre-classes and classes of each
+    # size, or that every set is its own class; the report does not change
+    argv = [command[0], write_doc(doc), *command[1:]]
+    code, quiet, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    code, loud, err = run_cli(capsys, argv + ["--verbose"])
+    assert code == 0
+    lines = err.splitlines()
+    assert [x for x in lines if "hyperising.coefficients" in x] == [
+        "INFO hyperising.coefficients: coefficient tables " + line]
+    assert len(lines) == 3
+    assert re.fullmatch(rf"INFO hyperising: {command[0]} finished in [\d.]+s",
+                        lines[2])
+    for rep in (quiet, loud):
+        rep.pop("timings")
+    assert json.dumps(quiet, indent=2) == json.dumps(loud, indent=2)
+
+
 def test_sweep_past_the_default_cap_answers_at_once(capsys):
     # 2^50 label sets; the transfer matrix's frontier stays at width 10
     argv = ["sweep", "--random-regular", "50,3", "--oracle-cap", "50",

@@ -119,6 +119,71 @@ def test_edgeless_power_sums():
         assert pt == pytest.approx(2 * (-1) ** t)
 
 
+def test_class_sums_round_the_exact_sum_once():
+    # count x value over the classes, against rationals rounded once:
+    # full 53-bit mantissas of both signs from subnormal to 1e300, and
+    # counts from 1 to past the 2^27 limit of the split products
+    rng = random.Random(25)
+    counts = [1, 2, 3, 2 ** 26 - 1, 2 ** 26, 2 ** 27 + 3]
+    special = [1e300, -1e300, 5e-324, -2.5e-320, 2.2250738585072014e-308]
+
+    def value():
+        mantissa = rng.getrandbits(52) | 1 << 52
+        return rng.choice([-1, 1]) * math.ldexp(mantissa,
+                                                rng.randint(-1126, 940))
+
+    split = rational = 0
+    for _ in range(400):
+        x = [value() for _ in range(rng.randint(1, 8))]
+        x += rng.sample(special, rng.randint(0, 2))
+        k = rng.choices(counts[:5] if rng.random() < 0.7 else counts,
+                        k=len(x))
+        def got():
+            # the sum over all of the row, and over all but its last class
+            return coefficients._class_sums(np.array([x, x]), np.array(k),
+                                            [len(x), len(x) - 1])
+        try:
+            want = [float(sum(Fraction(v) * c for v, c in zip(x[:e], k)))
+                    for e in (len(x), len(x) - 1)]
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                got()
+            continue
+        assert repr(got()) == repr(want)
+        if max(k) > 2 ** 27 or max(map(abs, x)) >= 2.0 ** 996:
+            rational += 1
+        else:
+            split += 1
+    assert split > 100 and rational > 100
+
+
+def power_sum_hosts():
+    """Cubic hosts, uniform-beta 3-uniform hosts (classes of many sets)
+    and an edgeless host, where only size 1 has sets, with an order."""
+    for n, seed in ((20, 1), (50, 2), (64, 3)):
+        yield random_regular_graph(random.Random(seed), n, 3, 0.2), 7
+    rng = random.Random(31)
+    for n in (7, 9, 12):
+        edges = tuple(ising_edge(sorted(rng.sample(range(n), 3)), -0.3)
+                      for _ in range(n))
+        yield Hypergraph(n, edges), 6
+    yield edgeless(4), 5
+
+
+def test_power_sums_equal_fsum_over_the_sets():
+    # count x value summed over the classes gives p_t bit for bit as
+    # math.fsum over the sets
+    merged = 0
+    for g, m in power_sum_hosts():
+        ct = compute_coefficient_tables(g, m)
+        merged += bool(np.any(ct.counts > 1))
+        assert ct.counts.sum() == len(ct.cls) == len(ct.tables[-1])
+        want = [complex(math.fsum(a.real), math.fsum(a.imag))
+                for a in ct.tables]
+        assert repr(power_sums(ct)) == repr(want)
+    assert merged == 6
+
+
 def test_unit_beta_power_sums():
     g = triangle(1.0)
     ct = compute_coefficient_tables(g, 6)
@@ -302,7 +367,7 @@ def class_counts(g: Hypergraph, t: int) -> list[tuple[int, int]]:
     keying = coefficients._spin_tables(g, t)[2]
     if keying is None:
         return [(len(sets), len(sets)) for sets in fam.by_size if len(sets)]
-    return [(len(cls), len(reps)) for cls, reps
+    return [(len(cls), len(reps)) for cls, reps, _
             in coefficients._family_classes(fam, t, *keying)]
 
 
@@ -363,10 +428,15 @@ def test_regular_host_classes(seed):
     # size 7 down to 27-47 classes, 55-91 up to size 7 (keying every set
     # by its own refinement order: 95-118; with Ising traces kept by
     # position: thousands)
-    counts = class_counts(random_regular_graph(random.Random(seed), 50, 3,
-                                               0.2), 7)
+    g = random_regular_graph(random.Random(seed), 50, 3, 0.2)
+    counts = class_counts(g, 7)
     assert counts[:2] == [(50, 1), (75, 1)]
     assert sum(c for _, c in counts) <= 95
+    # sizes 1 and 2 are one pre-class each, so they are never keyed
+    fam = enumerate_connected(g, 7)
+    classes, pre, keyed = traced_classes(
+        fam, 7, coefficients._spin_tables(g, 7)[2])
+    assert pre[:2] == [1, 1] and keyed == set(range(3, 8))
 
 
 @st.composite
@@ -417,13 +487,46 @@ def canonical_form(edges: list, labels: list[int]) -> list:
     return best
 
 
+def traced_classes(fam, t: int, keying) -> tuple:
+    """(classes, pre, keyed): `_family_classes` of the family, the number
+    of pre-classes of each size as `_unique_rows` found them (its first
+    call after a size's pre-keys), and the sizes `_structure_keys` ran on."""
+    events = []
+
+    def spy(name, real):
+        def call(*args):
+            out = real(*args)
+            events.append((name, args[0].shape[1] if name != "unique"
+                           else len(out[0])))
+            return out
+        return call
+
+    with mock.patch.multiple(
+            coefficients,
+            _pre_keys=spy("pre", coefficients._pre_keys),
+            _unique_rows=spy("unique", coefficients._unique_rows),
+            _structure_keys=spy("keys", coefficients._structure_keys)):
+        classes = coefficients._family_classes(fam, t, *keying)
+    pre, keyed, size = {}, set(), None
+    for name, value in events:
+        if name == "pre":
+            size = value
+        elif name == "unique":
+            pre.setdefault(size, value)
+        else:
+            keyed.add(value)
+    return classes, [pre[k] for k in sorted(pre)], keyed
+
+
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(keyed_hosts())
 def test_classes_are_exact(g):
     # every member of a class has its representative's canonical form, by
     # brute force over all k! labellings; no size has more classes than
-    # keying every set by its own refinement order gives; and the classes
-    # and tables do not depend on the chunking
+    # keying every set by its own refinement order gives; the structure
+    # keys run only for sizes of two or more pre-classes, a lone
+    # pre-class being one class; and the classes and tables do not depend
+    # on the chunking
     t = min(g.n, 6)
     fam = enumerate_connected(g, t)
     keying = coefficients._spin_tables(g, t)[2]
@@ -437,8 +540,11 @@ def test_classes_are_exact(g):
         edges.append((ids.setdefault((e.size, e.activity), len(ids)), free,
                       e.vertices))
     inc, ev = fam.arrays
-    classes = coefficients._family_classes(fam, t, *keying)
-    for sets, (cls, reps) in zip(fam.by_size, classes):
+    classes, pre, keyed = traced_classes(fam, t, keying)
+    assert [p for _, _, p in classes] == pre
+    assert keyed == {k for k, p in enumerate(pre, start=1) if p >= 2}
+    for sets, (cls, reps, p) in zip(fam.by_size, classes):
+        assert len(reps) <= p
         forms = [canonical_form(edges, s) for s in sets.tolist()]
         assert cls[reps].tolist() == list(range(len(reps)))
         for j, c in enumerate(cls.tolist()):
@@ -449,7 +555,8 @@ def test_classes_are_exact(g):
     with mock.patch.object(coefficients, "_CHUNK_CELLS", 1 << 4):
         again = coefficients._family_classes(fam, t, *keying)
         got = compute_coefficient_tables(g, t, fam)
-    for (cls, reps), (cls2, reps2) in zip(classes, again, strict=True):
+    for (cls, reps, _), (cls2, reps2, _) in zip(classes, again,
+                                                strict=True):
         assert np.array_equal(cls, cls2) and np.array_equal(reps, reps2)
     assert got.pair_scan_max == want.pair_scan_max
     for a, b in zip(got.tables, want.tables, strict=True):

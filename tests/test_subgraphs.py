@@ -142,12 +142,28 @@ def test_keys_across_words_on_a_large_cubic_host():
     assert_grown_family(g, 7)
 
 
+def test_codes_past_32_bits_on_a_sparse_wide_host():
+    # 70 000 vertices: the codes u * (n + 1) + b pass 2^32 and are held
+    # as int64, which the keys' int64 arithmetic takes as it is
+    rng = random.Random(70)
+    labels = rng.sample(range(70000), 8)
+    edges = tuple(ising_edge((labels[i], labels[i + 1]), 0.5)
+                  for i in range(7)) + (ising_edge(labels[::3], 0.5),)
+    assert_grown_family(Hypergraph(70000, edges), 5)
+
+
 def test_enumeration_memory_stays_bounded():
     # 121 777 sets: sorting and comparing every candidate row peaked at
     # 66 MiB; keys grown from the parents' keys, with each size's
-    # candidates dropped before the next, peak at 32 MiB
+    # candidates dropped before the next, peak at 32 MiB, and at 29 MiB
+    # with each set's outer neighbourhood carried from its first pair
     g = random_regular_graph(random.Random(200), 200, 3, 0.2)
     assert traced_peak(lambda: enumerate_connected(g, 8)) < 60 * 2 ** 20
+    # 221 611 sets: 51.3 MiB with the neighbours gathered afresh each
+    # size, 48.3 MiB with carried neighbourhoods, and 60.9 MiB when the
+    # pair arrays and the carrying step's temporaries outlive their size
+    g = random_regular_graph(random.Random(200), 1000, 3, 0.2)
+    assert traced_peak(lambda: enumerate_connected(g, 7)) < 56 * 2 ** 20
 
 
 def test_path_size_two_family():
@@ -297,6 +313,7 @@ def test_isolated_vertices_are_singletons():
     assert fam.sets_of_size(1).tolist() == [[0], [1], [2], [3]]
     assert fam.sets_of_size(2).tolist() == [[0, 1]]
     assert fam.sets_of_size(3).shape == (0, 3)
+    assert enumerate_connected(Hypergraph(0, ()), 2).counts() == {1: 0, 2: 0}
 
 
 def test_rejects_nonpositive_budget():
