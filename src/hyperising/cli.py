@@ -430,15 +430,21 @@ def _cmd_sweep(args) -> dict:
     # each row puts its beta on every edge: one range per edge size
     ranges = [ising_ly_range(k) for k in {e.size for e in g.edges}]
     betas = np.linspace(args.beta_from, args.beta_to, args.steps)
-    rows = []
-    for beta, coeffs in zip(betas, uniform_beta_coefficients(hist, betas)):
-        report = coefficient_zeros(coeffs, residual_tol=args.tol_residual)
-        rows.append({
-            "beta": float(beta),
-            "in_range": all(r.contains(beta) for r in ranges),
-            "max_circle_deviation": report.max_circle_deviation,
-            "on_circle": report.max_circle_deviation <= args.tol_circle,
-        })
+    # an overflowing row is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = uniform_beta_coefficients(hist, betas)
+    overflow = ~np.isfinite(grid).all(axis=1)
+    if overflow.any():
+        raise HyperIsingError(
+            f"the coefficients at beta={betas[np.argmax(overflow)]:g}"
+            f" overflow double precision on {g.n} vertices")
+    reports = coefficient_zeros(grid, residual_tol=args.tol_residual)
+    rows = [{
+        "beta": float(beta),
+        "in_range": all(r.contains(beta) for r in ranges),
+        "max_circle_deviation": report.max_circle_deviation,
+        "on_circle": report.max_circle_deviation <= args.tol_circle,
+    } for beta, report in zip(betas, reports)]
     t2 = time.perf_counter()
     params = {"beta_from": args.beta_from, "beta_to": args.beta_to,
               "steps": args.steps, "threads": args.threads,

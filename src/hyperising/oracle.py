@@ -276,47 +276,126 @@ def uniform_beta_coefficients(hist: np.ndarray, beta) -> np.ndarray:
     c_i = sum_c hist[i, c] beta^c by Horner's scheme over the cut counts.
     An array of betas gives one row of coefficients per beta, each equal
     to the one for that beta alone."""
-    c = np.polynomial.polynomial.polyval(
-        np.asarray(beta, dtype=np.complex128), hist.T.astype(np.complex128))
-    return np.moveaxis(c, 0, -1)
+    beta = np.asarray(beta, dtype=np.complex128)
+    c = hist.T.astype(np.complex128)
+    return np.moveaxis(polyval(c.reshape(c.shape + (1,) * beta.ndim), beta),
+                       0, -1)
 
 
-def polyval(coeffs: np.ndarray, z) -> np.ndarray:
-    """Evaluate sum_i coeffs[i] z^i (ascending order)."""
-    return np.polynomial.polynomial.polyval(z, np.asarray(coeffs, dtype=complex))
+def polyval(coeffs, z) -> np.ndarray:
+    """Evaluate sum_i coeffs[i] z^i (ascending order) by Horner's scheme,
+    in the steps numpy's `polyval` takes. Axes of coeffs past the first
+    broadcast against z, so stacked rows (coefficients on axis 0) each
+    meet their own points."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    v = c[-1] + z * 0
+    for ci in c[-2::-1]:
+        v = ci + v * z
+    return v
 
 
-def polynomial_roots(coeffs, tol: float = DEFAULT_RESIDUAL_TOL) -> np.ndarray:
+def _companion_eigvals(p: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Eigenvalues of the companion matrix `np.roots` builds from each row
+    of p (highest coefficient first, p[:, 0] != 0), by one call on the
+    stack, and the LAPACK error of each row that did not converge."""
+    k, m = p.shape[0], p.shape[1] - 1
+    if m == 0:  # a monomial: its roots are all zero roots
+        return np.zeros((k, 0), dtype=np.complex128), {}
+    a = np.zeros((k, m, m), dtype=np.complex128)
+    a[:, 0] = -p[:, 1:] / p[:, :1]
+    a[:, np.arange(1, m), np.arange(m - 1)] = 1
+    try:
+        return np.linalg.eigvals(a), {}
+    except np.linalg.LinAlgError:  # pragma: no cover - LAPACK failure
+        eig, failed = np.zeros((k, m), dtype=np.complex128), {}
+        for j in range(k):  # the stack fails as a whole: find its rows
+            try:
+                eig[j] = np.linalg.eigvals(a[j])
+            except np.linalg.LinAlgError as exc:
+                failed[j] = exc
+        return eig, failed
+
+
+def polynomial_roots(coeffs, tol: float = DEFAULT_RESIDUAL_TOL, *,
+                     residuals: bool = False):
     """All roots of sum c_i lam^i via companion-matrix eigenvalues.
 
     Near-zero leading coefficients (relative to max |c_i|) are stripped
-    first so spurious huge roots cannot appear. Each returned root r must
-    satisfy |P(r)| <= tol * max|c_i|; the list is sorted by (|r|, arg r).
+    first so spurious huge roots cannot appear; the companion matrix is
+    the one `np.roots` builds, zero roots split off. Each returned root r
+    must satisfy |P(r)| <= tol * max|c_i| for the stripped P; the list is
+    sorted by (|r|, arg r). With `residuals`, returns (roots, |c(r)|),
+    each root's residual against all of c in the same order.
+
+    A (rows, d+1) stack gives a list with one such array per row, each
+    equal bit for bit to the row's own. The rows of one stripped degree
+    and one count of zero roots share one eigenvalue call on their
+    stacked companion matrices (up to 2^20 cells a call) and one Horner
+    pass, which serves both the tolerance check and the residuals; the
+    error raised is the one of the first failing row. Logs one line per
+    call: rows, degrees, eigenvalue calls and worst relative residual.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
-    if c.size == 0:
+    if c.ndim > 2:
+        raise SchemaError("expected one coefficient row or a stack of rows")
+    rows = np.atleast_2d(c)
+    if rows.shape[1] == 0:
         raise SchemaError("empty coefficient vector")
-    scale = np.max(np.abs(c))
-    if scale == 0:
-        raise SchemaError("zero polynomial has no defined root set")
-    deg = c.size - 1
-    while deg > 0 and abs(c[deg]) < LEADING_STRIP_REL * scale:
-        deg -= 1
-    if deg == 0:
-        return np.zeros(0, dtype=np.complex128)
-    try:
-        roots = np.roots(c[deg::-1])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise RootConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    resid = np.abs(polyval(c[: deg + 1], roots))
-    if np.any(resid > tol * scale):
-        worst = float(np.max(resid) / scale)
-        raise RootConvergenceError(
-            f"root residual {worst:.3e} above tolerance {tol:.1e} (relative)"
-        )
-    order = sorted(range(len(roots)),
-                   key=lambda i: (abs(roots[i]), cmath.phase(roots[i])))
-    return roots[order]
+    d = rows.shape[1] - 1
+    mags = np.abs(rows)
+    scale = mags.max(axis=1, initial=0.0)
+    ok = np.isfinite(scale) & (scale > 0)
+    errors = {int(j): SchemaError("zero polynomial has no defined root set")
+              for j in np.flatnonzero(scale == 0)}
+    errors.update({int(j): RootConvergenceError(
+        "coefficients are not finite: no defined root set")
+        for j in np.flatnonzero(~np.isfinite(scale))})
+    kept = np.zeros_like(mags, dtype=bool)
+    kept[ok] = mags[ok] >= LEADING_STRIP_REL * scale[ok, None]
+    deg = np.where(ok, d - np.argmax(kept[:, ::-1], axis=1), 0)
+    at_zero = np.argmax(rows != 0, axis=1)  # c_0 = ... = 0: roots at 0
+    roots = [np.zeros(0, dtype=np.complex128) for _ in rows]
+    resid = [np.zeros(0) for _ in rows]
+    worst = np.zeros(len(rows))
+    calls = 0
+    live = np.flatnonzero(deg > 0)
+    keys, group = np.unique(deg[live] * (d + 1) + at_zero[live],
+                            return_inverse=True)
+    for g, key in enumerate(keys.tolist()):
+        dg, z = divmod(key, d + 1)
+        idx = live[group == g]
+        step = max(1, (1 << _BLOCK_BITS) // max(1, (dg - z) ** 2))
+        for part in np.split(idx, range(step, len(idx), step)):
+            eig, failed = _companion_eigvals(rows[part, z:dg + 1][:, ::-1])
+            calls += int(dg > z)
+            for j, exc in failed.items():
+                errors[int(part[j])] = RootConvergenceError(
+                    f"eigenvalue iteration failed: {exc}")
+            r = np.concatenate([eig, np.zeros((len(part), z), eig.dtype)],
+                               axis=1)
+            # an overflow leaves an inf or NaN residual, which fails below
+            with np.errstate(over="ignore", invalid="ignore"):
+                mag = np.abs(polyval(rows[part, :dg + 1].T[..., None], r))
+                full = (mag if dg == d
+                        else np.abs(polyval(rows[part].T[..., None], r)))
+            worst[part] = mag.max(axis=1) / scale[part]
+            for j in part[~(mag <= tol * scale[part, None]).all(axis=1)]:
+                errors.setdefault(int(j), RootConvergenceError(
+                    f"root residual {worst[j]:.3e} above tolerance"
+                    f" {tol:.1e} (relative)"))
+            for j, rj, fj in zip(part, r, full):
+                order = sorted(range(dg), key=lambda i: (
+                    abs(rj[i]), cmath.phase(rj[i])))
+                roots[j], resid[j] = rj[order], fj[order]
+    log.info("roots: %d rows, degrees %s, %d eigenvalue calls, worst"
+             " relative residual %.3e", len(rows),
+             "/".join(map(str, np.unique(deg[ok]).tolist())), calls,
+             worst.max(initial=0.0))
+    if errors:
+        raise errors[min(errors)]
+    if c.ndim < 2:
+        roots, resid = roots[0], resid[0]
+    return (roots, resid) if residuals else roots
 
 
 @dataclass(frozen=True)
@@ -329,14 +408,21 @@ class ZeroReport:
     max_circle_deviation: float
 
 
-def coefficient_zeros(c: np.ndarray,
-                      residual_tol: float = DEFAULT_RESIDUAL_TOL) -> ZeroReport:
-    """Residual-checked roots of sum c_i lam^i and their largest distance
-    from the unit circle."""
-    roots = polynomial_roots(c, tol=residual_tol)
-    resid = np.abs(polyval(c, roots)) if roots.size else np.zeros(0)
+def _circle_report(c, roots: np.ndarray, resid: np.ndarray) -> ZeroReport:
     dev = float(np.max(np.abs(np.abs(roots) - 1.0))) if roots.size else 0.0
     return ZeroReport(c, roots, resid, dev)
+
+
+def coefficient_zeros(c, residual_tol: float = DEFAULT_RESIDUAL_TOL):
+    """Residual-checked roots of sum c_i lam^i and their largest distance
+    from the unit circle. A (rows, d+1) stack, such as the rows of
+    `uniform_beta_coefficients` over a beta grid, gives a list with one
+    report per row, each equal to the row's own, from one call of
+    `polynomial_roots`."""
+    roots, resid = polynomial_roots(c, tol=residual_tol, residuals=True)
+    if np.ndim(c) < 2:
+        return _circle_report(c, roots, resid)
+    return [_circle_report(*row) for row in zip(np.asarray(c), roots, resid)]
 
 
 def zero_report(g: Hypergraph, residual_tol: float = DEFAULT_RESIDUAL_TOL,

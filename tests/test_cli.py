@@ -475,6 +475,43 @@ def test_sweep_verbose_logs_the_histogram_route():
     assert reports[0] == reports[1]
 
 
+def test_sweep_verbose_logs_one_root_stage_line(capsys):
+    # the whole grid goes through one root stage: one line with its rows,
+    # degrees, eigenvalue calls and worst residual; a quiet run writes
+    # nothing on stderr, and the report does not change
+    argv = ["sweep", "--random-regular", "18,3", "--seed", "7",
+            "--beta-from", "0", "--beta-to", "0.5", "--steps", "3"]
+    code, quiet, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    code, loud, err = run_cli(capsys, argv + ["--verbose"])
+    assert code == 0
+    lines = [line for line in err.splitlines() if "roots:" in line]
+    assert len(lines) == 1
+    assert re.fullmatch(r"INFO hyperising\.oracle: roots: 3 rows, degrees 18,"
+                        r" 1 eigenvalue calls, worst relative residual"
+                        r" \d\.\d{3}e-\d+", lines[0])
+    assert len(err.splitlines()) == 3
+    for rep in (quiet, loud):
+        rep.pop("timings")
+    assert json.dumps(quiet, indent=2) == json.dumps(loud, indent=2)
+
+
+@pytest.mark.parametrize("beta_from, steps, beta", [
+    ("1e40", "1", "1e+40"), ("1", "3", "5e+39")])
+def test_sweep_refuses_overflowing_coefficients(capsys, beta_from, steps,
+                                                beta):
+    # the first beta whose coefficients pass the double range is named
+    # before any root is sought, and no numpy warning is raised
+    argv = ["sweep", "--random-regular", "8,3", "--beta-from", beta_from,
+            "--beta-to", "1e40", "--steps", steps]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep, err = run_cli(capsys, argv)
+    assert code == 2 and rep is None
+    assert err == (f"refused: the coefficients at beta={beta} overflow double"
+                   " precision on 8 vertices\n")
+
+
 def test_verbose_is_set_per_call_in_one_process(capsys, write_doc):
     # a verbose call after a quiet one logs, and a quiet one after a
     # verbose one does not; `exact` makes one oracle pass
@@ -630,6 +667,31 @@ def test_import_loads_no_test_dependency():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# what a fresh `import hyperising.cli` may add to the modules numpy has
+# loaded: the package's own and these standard-library modules. The
+# benchmark's setup time includes this import.
+CLI_IMPORT_STDLIB = {
+    "__future__", "_blake2", "_hashlib", "_json", "_string", "argparse",
+    "cmath", "copy", "dataclasses", "gettext", "hashlib", "json",
+    "json.decoder", "json.encoder", "json.scanner", "logging", "string",
+    "traceback"}
+
+
+def test_cli_import_loads_only_pinned_modules():
+    import subprocess
+
+    code = ("import sys, numpy; before = set(sys.modules);"
+            " import hyperising.cli;"
+            " print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "hyperising.cli" in added
+    foreign = {name for name in added if name.split(".")[0] != "hyperising"}
+    assert foreign <= CLI_IMPORT_STDLIB, sorted(foreign - CLI_IMPORT_STDLIB)
 
 
 @pytest.mark.parametrize("argv", [

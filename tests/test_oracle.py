@@ -10,11 +10,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hyperising import (
+    HyperIsingError,
     Hyperedge,
     Hypergraph,
     IsingActivity,
     OracleCapError,
     PartitionEstimator,
+    RootConvergenceError,
     SchemaError,
     TableActivity,
     exact_coefficients,
@@ -406,6 +408,106 @@ def test_zero_polynomial_rejected():
         polynomial_roots([0, 0])
     with pytest.raises(SchemaError):
         polynomial_roots([])
+
+
+def _zeros_or_error(c):
+    try:
+        return oracle.coefficient_zeros(c)
+    except HyperIsingError as exc:
+        return type(exc), str(exc)
+
+
+def assert_stack_matches_rows(rows):
+    """One stacked call gives each row's own report bit for bit, or the
+    error of the first row that fails alone."""
+    rows = np.asarray(rows, dtype=np.complex128)
+    alone = [_zeros_or_error(row) for row in rows]
+    stacked = _zeros_or_error(rows)
+    failed = [rep for rep in alone if isinstance(rep, tuple)]
+    if failed:
+        assert stacked == failed[0]
+        return
+    assert len(stacked) == len(rows)
+    for row, a, b in zip(rows, alone, stacked):
+        assert np.array_equal(b.coefficients, row)
+        assert a.roots.tobytes() == b.roots.tobytes()
+        assert a.residuals.tobytes() == b.residuals.tobytes()
+        assert a.max_circle_deviation == b.max_circle_deviation
+    roots = polynomial_roots(rows)
+    assert [r.tobytes() for r in roots] == [r.roots.tobytes() for r in stacked]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 20),
+       kind=st.sampled_from(["real", "complex", "self-inversive"]),
+       shapes=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       min_size=1, max_size=8))
+def test_stacked_roots_match_row_by_row(seed, d, kind, shapes):
+    # each row (stripped leading terms, zero low terms) may take its own
+    # degree and count of zero roots, and so its own eigenvalue call
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(len(shapes), d + 1)).astype(complex)
+    if kind != "real":
+        rows += 1j * rng.normal(size=rows.shape)
+    if kind == "self-inversive":
+        rows = 0.5 * (rows + rows[:, ::-1].conj())
+    for row, (stripped, low) in zip(rows, shapes):
+        row[d + 1 - min(stripped, d):] *= 1e-14
+        row[:min(low, d)] = 0
+    assert_stack_matches_rows(rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2 ** 31 - 1),
+       betas=st.lists(st.floats(-0.5, 0.99), min_size=1, max_size=21))
+@example(seed=534029409, betas=[0.9])
+@example(seed=534029409, betas=list(np.linspace(-0.5, 0.99, 21)) + [0.9])
+def test_stacked_beta_grid_matches_row_by_row(seed, betas):
+    # `sweep`'s rows: 18-vertex cubic hosts, in range up to beta = 0.99,
+    # where the zeros crowd near lambda = -1
+    hist = cut_histogram(random_regular_graph(random.Random(seed), 18, 3, 0.5))
+    assert_stack_matches_rows(uniform_beta_coefficients(hist, np.array(betas)))
+
+
+def test_stacked_errors_follow_row_order():
+    # the first failing row's error, whatever the rows after it raise;
+    # Wilkinson's (z - 1)...(z - 20) misses the residual check
+    wilkinson = np.poly(np.arange(1, 21))[::-1]
+    good, zero = np.zeros(21), np.zeros(21)
+    good[[0, 2]] = 1
+    overflow = good.copy()
+    overflow[1] = math.inf
+    with pytest.raises(SchemaError, match="zero polynomial"):
+        polynomial_roots([good, zero, wilkinson])
+    with pytest.raises(RootConvergenceError, match="root residual"):
+        polynomial_roots([good, wilkinson, zero])
+    with pytest.raises(RootConvergenceError, match="not finite"):
+        polynomial_roots([good, overflow, wilkinson])
+    assert polynomial_roots(np.zeros((0, 3))) == []
+
+
+def test_root_stage_logs_one_line_per_call(caplog):
+    # the first and last rows share a degree and so an eigenvalue call
+    rows = [[1, 2, 1], [1, 1, 1e-15], [0, 1, 1], [2, 1, 3]]
+    with caplog.at_level(logging.INFO, logger="hyperising.oracle"):
+        roots, resid = polynomial_roots(rows, residuals=True)
+    (message,) = caplog.messages
+    assert re.fullmatch(r"roots: 4 rows, degrees 1/2, 3 eigenvalue calls,"
+                        r" worst relative residual \d\.\d{3}e[-+]\d+", message)
+    assert [len(r) for r in roots] == [len(r) for r in resid] == [2, 1, 2, 2]
+    assert roots[2].tolist() == [0, -1]
+
+
+def test_stacked_calls_split_at_the_cell_budget(caplog, monkeypatch):
+    # a grid of any length holds at most 2^_BLOCK_BITS companion cells at
+    # once: 5 quadratics at 4 cells each take 3 calls under a 8-cell budget
+    rows = np.array([[1, 0.5 * k, 1] for k in range(5)], dtype=complex)
+    whole = polynomial_roots(rows)
+    monkeypatch.setattr(oracle, "_BLOCK_BITS", 3)
+    with caplog.at_level(logging.INFO, logger="hyperising.oracle"):
+        split = polynomial_roots(rows)
+    assert "5 rows, degrees 2, 3 eigenvalue calls" in caplog.messages[0]
+    assert [r.tobytes() for r in split] == [r.tobytes() for r in whole]
 
 
 def test_zero_report_contract():
