@@ -89,16 +89,17 @@ The pair rows read the index rows of the representatives alone, and an
 index row reads the rows of its set's parents. So once the classes of
 every size are known, the rows to index are marked top-down, the
 representatives of each size and the parents of the rows marked one
-size up, and only those rows are indexed (every row, without marking,
-when each set is its own class). The host's incidence arrays come with
-the family, built once by the enumeration; the spin tables are built
-here alone, each distinct (size, activity) table once, back to back in
-one flat array. The finished table holds one value per class and order
-and the number of sets in each class, and p_t sums count times value
-over the classes exactly, rounded once, which is the correctly rounded
-sum over the sets. The per-set tables are a view built on request from
-each row's class; the table does not keep the family. One INFO line per
-build gives the sets, pre-classes and classes of each size.
+size up, and only those rows are indexed: every row when each set is
+its own class, since each row is then a representative. The host's
+incidence arrays come with the family, built once by the enumeration;
+the spin tables are built here alone, each distinct (size, activity)
+table once, back to back in one flat array. The finished table holds
+one value per class and order and the number of sets in each class, and
+p_t sums count times value over the classes exactly, rounded once, which
+is the correctly rounded sum over the sets. The per-set tables are a
+view built on request from each row's class; the table does not keep
+the family. One INFO line per build gives the sets, pre-classes and
+classes of each size.
 
 Elementary symmetric functions of the reciprocal roots follow from the
 power sums by Newton's identities; with the all-minus normalization the
@@ -236,10 +237,9 @@ def _edge_products(sets: np.ndarray, inc: np.ndarray, ev: np.ndarray,
     for b in range(k):
         np.add(codes[:, :1 << b], place[:, b:b + 1],
                out=codes[:, 1 << b:2 << b])
-    e = np.take(flat, codes[0])
-    buf = np.empty_like(e)
+    e = flat[codes[0]]
     for s in range(1, len(codes)):
-        e *= np.take(flat, codes[s], out=buf)
+        e *= flat[codes[s]]
     return e.T
 
 
@@ -411,7 +411,7 @@ def _family_classes(fam: ConnectedFamily, depth: int, tid: np.ndarray,
         first, pre = _unique_rows(np.concatenate(rows))
         if len(first) == 1:
             # one pre-class is one class, and its pre-labels label every
-            # set by one labelled structure
+            # set by one labelled structure (without this skip: regular +2.9%)
             cls = pre
             out.append((cls, first, 1))
             if k < depth:
@@ -475,8 +475,6 @@ def _subset_index(idx: np.ndarray, own: np.ndarray, parents: np.ndarray,
 
 def _ranked_superset_sums(e: np.ndarray, r_max: int) -> np.ndarray:
     """G[r, j, d] = sum over Y disjoint from d with |Y| = r of e[j, d | Y]."""
-    if r_max == 0:
-        return e[None]
     nsets, size = e.shape
     g = np.zeros((r_max + 1, nsets, size), dtype=np.complex128)
     g[0] = e
@@ -540,9 +538,7 @@ def compute_coefficient_tables(
     else:
         classes = _family_classes(fam, depth, *keying)
     reps = [own for _, own, _ in classes]
-    # every row is its own class's representative on unkeyed hosts, so
-    # every row is read there; elsewhere only the representatives' closure
-    rows = reps if keying is None else _index_rows(fam.parents, reps)
+    rows = _index_rows(fam.parents, reps)
     # values[t, c]: the order-t coefficient of the sets of class c, the
     # classes of size k from firsts[k - 1] on; cls maps each family row to
     # its class
@@ -638,7 +634,7 @@ def _class_sums(x: np.ndarray, counts: np.ndarray,
     its sum as it does in math.fsum.
     """
     many = counts > 1
-    if not many.any():  # every class is one set
+    if not many.any():  # every class is one set (without it: corpus +3.3%)
         return [math.fsum(row[:end].tolist()) for row, end in zip(x, ends)]
     ones, groups = np.flatnonzero(~many), np.flatnonzero(many)
     y, c = x[:, groups], counts[groups]

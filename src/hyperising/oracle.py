@@ -32,9 +32,11 @@ _BLOCK_BITS = 20  # int64-sized cells per transfer state, sets per 2^n block
 
 log = logging.getLogger(__name__)
 
-# Trailing coefficients below this relative threshold are treated as zero
-# when determining the polynomial degree (cannot occur for finite Ising
-# activities, where the leading coefficient is a product of phi(+...+)=1).
+# Leading coefficients below this fraction of max |c_i| are stripped
+# before the degree is fixed. On an Ising host c_n = c_0 = 1 while the
+# middle c_i grow like beta^cuts, so this starts once max |c_i| > 1e12:
+# on an 8-vertex cubic host at beta = 1e3 (max |c_i| = 4.0e30) the degree
+# drops to 7 and the roots fail the residual check at 4.9e23 relative.
 LEADING_STRIP_REL = 1e-12
 
 

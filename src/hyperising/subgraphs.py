@@ -121,12 +121,11 @@ def _mate_codes(sets: np.ndarray, mates: np.ndarray, base: int,
     """code[j, c] = u * base + b for the vertex u = mates[j, c] outside
     sets[j], b the number of members of sets[j] below u; pad for members,
     and pad or past it for the padding mate u = base - 1."""
-    # numpy adds bytes to unsigned integers faster than booleans
     members = sets.T[:, :, None]
-    code = mates * base + (members[0] < mates).view(np.uint8)
+    code = mates * base + (members[0] < mates)
     inside = members[0] == mates
     for member in members[1:]:
-        code += (member < mates).view(np.uint8)
+        code += member < mates
         inside |= member == mates
     code[inside] = pad
     return code
@@ -154,7 +153,7 @@ def _grown_codes(codes: np.ndarray, sets: np.ndarray, j: np.ndarray,
     up = old // base
     mates = near.take(v, axis=0)
     v = v[:, None]
-    old += (up > v).view(np.uint8)
+    old += up > v
     old[up == v] = pad
     return _distinct(np.concatenate(
         [old, _mate_codes(sets, mates, base, pad)], axis=1), pad)
@@ -210,15 +209,15 @@ def enumerate_connected(g: Hypergraph, t: int,
     sets = np.arange(g.n, dtype=np.int64)[:, None]
     # each vertex's mates: the other vertices of its edges, ascending, in
     # the smallest unsigned type that holds every code, but int64 past
-    # 32 bits (uint64 and int64 mix to float64)
+    # 32 bits (uint64 and int64 mix to float64). int64 codes throughout
+    # run ~4% faster but raise the n = 200, t = 10 peak 321 -> 351 MiB
     kind = np.min_scalar_type(base * base)
     near = ev[inc].reshape(g.n, inc.shape[1] * ev.shape[1]).astype(
         kind if kind.itemsize < 8 else np.int64)
     near[near == sets] = g.n
     near = _distinct(near, g.n)
     keys = [sets[:, 0] << top]
-    # a singleton u's mates w take position b = [w > u]
-    codes = near * base + (near > sets)
+    codes = _mate_codes(sets, near, base, pad)
     by_size, parents = [sets], [np.full((g.n, 1), -1, dtype=np.int64)]
     for size in range(2, t + 1):
         # past the host or its largest component: no set grows

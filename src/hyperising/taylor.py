@@ -17,9 +17,9 @@ estimator has every e_1..e_n, i.e. the whole polynomial: from tables to
 depth n in general, and from tables to depth n // 2 on a host with
 symmetric activities, whose polynomial is self-inversive (c_{n-i} =
 conj(c_i)), so the mirror gives the rest. The estimator then skips the
-series and evaluates Z by Horner's rule, exact up to rounding in the table
-values, so every call does work bounded by n and the table caps whatever
-|lam| is.
+series and evaluates Z with the oracle's Horner (`oracle.polyval`), exact
+up to rounding in the table values, so every call does work bounded by n
+and the table caps whatever |lam| is.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .coefficients import (
     complete_self_inversive,
@@ -40,6 +42,7 @@ from .coefficients import (
 from .errors import HyperIsingError, OrderCapError, UnitCircleError
 from .hypergraph import Hypergraph
 from .leeyang import check_activity_ranges
+from .oracle import polyval
 from .subgraphs import DEFAULT_SET_CAP, enumerate_connected
 
 DEFAULT_ORDER_CAP = 24
@@ -81,14 +84,6 @@ def truncated_log_partition(p: Sequence[complex], lam: complex, m: int) -> compl
         power *= lam
         acc += p[j - 1] * power / j
     return -acc
-
-
-def _horner(c: Sequence[complex], lam: complex) -> complex:
-    """sum_i c_i lam^i for ascending coefficients c."""
-    acc = 0.0 + 0.0j
-    for ci in reversed(c):
-        acc = acc * lam + ci
-    return acc
 
 
 def _conj(xs: Sequence[complex]) -> list[complex]:
@@ -232,7 +227,10 @@ class PartitionEstimator:
                 # symmetric host, to half of it and the mirror
                 c = elementary_to_coefficients(
                     self._snapshot(n, m)[1] if n else [])
-                value = _horner(_conj(c) if inverted else c, lam_eff)
+                # an overflowing Z is refused below, not warned about
+                with np.errstate(over="ignore", invalid="ignore"):
+                    value = complex(polyval(_conj(c) if inverted else c,
+                                            lam_eff))
                 log_est = cmath.log(value) if value else complex(-math.inf)
             else:
                 evaluation = "series"

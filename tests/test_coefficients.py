@@ -745,6 +745,44 @@ def test_index_rows_of_the_closure_bound_memory():
     assert peak < 75 * 2 ** 20
 
 
+def _classes_as_built(fam, depth):
+    """The representatives of each non-empty size, as the table build
+    takes them, and whether the host is keyed."""
+    keying = coefficients._spin_tables(fam.host, depth)[2]
+    if keying is None:
+        reps = [np.arange(len(s)) for s in fam.by_size[:depth] if len(s)]
+        return reps, False
+    classes = coefficients._family_classes(fam, depth, *keying)
+    return [own for _, own, _ in classes], True
+
+
+@pytest.mark.parametrize("g, depth, unread", [
+    (random_connected_hypergraph(random.Random(3), 9, 4, 4), 9, False),
+    (random_connected_hypergraph(random.Random(8), 7, 4, 4,
+                                 activity="mixed"), 7, False),
+    (random_regular_graph(random.Random(5), 12, 3, 0.4), 7, True),
+    (path_graph(9, 0.5), 9, False),
+    (disjoint_union(triangle(), path_graph(3)), 5, False),
+])
+def test_index_rows_mark_representatives_and_their_parents(g, depth, unread):
+    fam = enumerate_connected(g, depth)
+    reps, keyed = _classes_as_built(fam, depth)
+    rows = coefficients._index_rows(fam.parents, reps)
+    assert len(rows) == len(reps)
+    for k, (read, own) in enumerate(zip(rows, reps), start=1):
+        assert np.all(np.diff(read) > 0)
+        if not keyed:
+            # every set is its own class: every row is read
+            assert read.tolist() == list(range(len(fam.by_size[k - 1])))
+        assert set(own.tolist()) <= set(read.tolist())
+        if k > 1:
+            # an index row reads the rows of its connected parents
+            par = fam.parents[k - 1][read]
+            assert set(par[par >= 0].tolist()) <= set(rows[k - 2].tolist())
+    # on the cubic host the representatives' closure leaves rows unread
+    assert (sum(map(len, rows)) < sum(map(len, fam.by_size[:depth]))) == unread
+
+
 def test_wide_edge_memory_stays_within_the_distinct_tables():
     # a 200-vertex path with one 16-vertex edge: each distinct spin table
     # is held once, by the table build alone. A table per edge padded to

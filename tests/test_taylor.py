@@ -26,6 +26,7 @@ from hyperising import (
 )
 from hyperising import Hyperedge, Hypergraph, coefficients, subgraphs, taylor
 from hyperising.instances import random_connected_hypergraph, random_regular_graph
+from hyperising.oracle import polyval
 
 from conftest import LAMBDA_GRID, edgeless, k2, path_graph, rel_err, single_edge
 
@@ -412,20 +413,51 @@ def test_symmetric_host_mirrors_half_depth_tables(n, seed, activity):
         assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
 
 
-def test_asymmetric_host_builds_full_depth_unchanged(monkeypatch):
+def _asymmetric_host():
     g = random_connected_hypergraph(random.Random(41), 9, 4, 4,
                                     activity="mixed")
     first = g.edges[0]
     values = list(first.activity.table(first.size))
     values[1] += 0.05 + 0.02j
-    g = Hypergraph(g.n, (Hyperedge(first.vertices, TableActivity(
+    return Hypergraph(g.n, (Hyperedge(first.vertices, TableActivity(
         tuple(values))),) + g.edges[1:])
+
+
+def test_asymmetric_host_builds_full_depth_unchanged(monkeypatch):
+    g = _asymmetric_host()
     assert not g.all_symmetric()
     builds = _count_builds(monkeypatch)
     est = PartitionEstimator(g)
     p = est.power_sums_up_to(g.n)
     assert builds == [g.n]
     assert (p, est.elementary()) == _direct(g, g.n)
+
+
+@pytest.mark.parametrize("g", [
+    edgeless(0),
+    k2(0.5),
+    random_regular_graph(random.Random(3), 8, 3, 0.4),
+    random_connected_hypergraph(random.Random(37), 8, 4, 3, activity="table"),
+    _asymmetric_host(),
+], ids=["empty", "k2", "cubic", "complex-table", "asymmetric"])
+def test_polynomial_path_is_polyval_of_its_coefficients(g):
+    # the estimator evaluates Z with the oracle's own Horner, on the
+    # coefficients it completed, bit for bit
+    lams = [0.9, 0.95 * cmath.exp(0.7j), -0.99]
+    if g.all_symmetric():
+        lams += [1 / 0.9, cmath.rect(1.05, 2.1), -1 / 0.99]
+    est = PartitionEstimator(g)
+    for lam in map(complex, lams):
+        ap = est.approximate(lam, 0.01)
+        assert ap.evaluation == "polynomial" and ap.inverted == (abs(lam) > 1)
+        c = elementary_to_coefficients(est.elementary())
+        assert len(c) == g.n + 1
+        if ap.inverted:
+            want = complex(polyval(taylor._conj(c), 1 / lam)) * lam ** g.n
+        else:
+            want = complex(polyval(c, lam))
+        assert repr(ap.value) == repr(want)
+        assert g.n or ap.value == 1
 
 
 def test_symmetric_host_builds_tables_once(monkeypatch):
