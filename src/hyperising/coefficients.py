@@ -626,29 +626,22 @@ def _class_sums(x: np.ndarray, counts: np.ndarray,
     counts[c] * x[r, c], correctly rounded, so equal to math.fsum over
     the sets, one term per set.
 
-    A class of one set adds its value. Any other value is split in two
-    halves of 26 bits (Veltkamp, with the factor 2^27 + 1), so a count
-    below 2^27 times either half is exact, and fsum rounds the exact sum
-    once. Past that count, or at a magnitude where the split could
-    overflow, the sums are taken in rationals; a non-finite value decides
-    its sum as it does in math.fsum.
+    Once a class holds two sets, every value, a lone set's too, is split
+    in two halves of 26 bits (Veltkamp, with the factor 2^27 + 1), so a
+    count below 2^27 times either half is exact, and fsum rounds the
+    exact sum once. Past that count, or at a magnitude where the split
+    could overflow, the sums are taken in rationals; a non-finite value
+    decides its sum as it does in math.fsum.
     """
-    many = counts > 1
-    if not many.any():  # every class is one set (without it: corpus +3.3%)
+    if counts.max(initial=0) < 2:  # all one set (without it: corpus +3.3%)
         return [math.fsum(row[:end].tolist()) for row, end in zip(x, ends)]
-    ones, groups = np.flatnonzero(~many), np.flatnonzero(many)
-    y, c = x[:, groups], counts[groups]
-    if c.max() < _SPLIT_COUNT and np.all(np.abs(y) < _SPLIT_VALUE):
-        big = y * _SPLIT
-        hi = big - (big - y)
-        c = c.astype(np.float64)
-        hi, lo = c * hi, c * (y - hi)
-        single = x[:, ones]
-        return [math.fsum(single[r, :a].tolist() + hi[r, :b].tolist()
-                          + lo[r, :b].tolist())
-                for r, (a, b) in enumerate(zip(
-                    np.searchsorted(ones, ends).tolist(),
-                    np.searchsorted(groups, ends).tolist()))]
+    if counts.max() < _SPLIT_COUNT and np.all(np.abs(x) < _SPLIT_VALUE):
+        big = x * _SPLIT
+        hi = big - (big - x)
+        c = counts.astype(np.float64)
+        hi, lo = c * hi, c * (x - hi)
+        return [math.fsum(hi[r, :end].tolist() + lo[r, :end].tolist())
+                for r, end in enumerate(ends)]
     # imported here: fractions adds to every import of the package, and
     # only counts past 2^27 or values past 2^996 come here
     from fractions import Fraction

@@ -2,8 +2,8 @@
 
 CLI exit-code mapping: SchemaError and bad flag values are input errors
 (exit 1); every other HyperIsingError (the caps, UnitCircleError,
-RootConvergenceError, an overflow of Z or of a witness polynomial) is a
-refusal of a well-formed request (exit 2).
+RootConvergenceError, an overflow of Z, of its power sums or of a
+witness polynomial) is a refusal of a well-formed request (exit 2).
 """
 
 

@@ -149,19 +149,30 @@ class PartitionEstimator:
         falls short, the sums of one new table build replace it in one
         assignment, and the tables are dropped. On a symmetric host the
         tables stop at depth n // 2, and a build that reaches it completes
-        the sums to order n by the mirror, so no later request rebuilds."""
+        the sums to order n by the mirror, so no later request rebuilds.
+        A build whose values or sums pass the double range is refused."""
         if depth > self.order_cap:
             raise OrderCapError(
                 f"truncation order {m} needs tables to order {depth}, "
                 f"above the cap {self.order_cap}"
             )
+        if not self.host.n:  # no label sets
+            return [], []
         state = self._state
         if state is None or len(state[0]) < depth:
             half = self._half
             build = depth if half is None else min(depth, half)
             fam = enumerate_connected(self.host, build, set_cap=self.set_cap)
-            p = power_sums(compute_coefficient_tables(self.host, build,
-                                                      fam=fam))
+            with np.errstate(over="ignore", invalid="ignore"):
+                table = compute_coefficient_tables(self.host, build, fam=fam)
+            try:
+                if not np.isfinite(table.values).all():
+                    raise OverflowError
+                p = power_sums(table)
+            except OverflowError:
+                raise HyperIsingError(
+                    f"the power sums to order {build} overflow double"
+                    f" precision on {self.host.n} vertices") from None
             e = power_sums_to_elementary(p)
             if build == half:
                 p, e = complete_self_inversive(p, e, self.host.n)
@@ -178,8 +189,6 @@ class PartitionEstimator:
             raise OrderCapError(
                 f"order {m} is above the cap {self.order_cap}")
         n = self.host.n
-        if n == 0:
-            return [0.0 + 0.0j] * m
         p, e = self._snapshot(min(m, n), m)
         if m <= len(p):
             return p[:m]
@@ -225,8 +234,7 @@ class PartitionEstimator:
                 evaluation = "polynomial"
                 # c_0..c_n from tables to the host size or, on a
                 # symmetric host, to half of it and the mirror
-                c = elementary_to_coefficients(
-                    self._snapshot(n, m)[1] if n else [])
+                c = elementary_to_coefficients(self._snapshot(n, m)[1])
                 # an overflowing Z is refused below, not warned about
                 with np.errstate(over="ignore", invalid="ignore"):
                     value = complex(polyval(_conj(c) if inverted else c,

@@ -359,6 +359,67 @@ def test_approx_overflow_refused(capsys, write_doc):
     assert err.startswith("refused:") and "overflows" in err
 
 
+# hosts whose power sums pass the double range: a path of alternating
+# 1e150 activities (table values of opposite infinities), the path at
+# 1e154 (finite values whose exact sums overflow) and a cubic host whose
+# table values pass the range from order 3 on
+OVERFLOW_DOCS = {
+    "opposite": {"n": 4, "edges": [{"v": [0, 1], "beta": 1e150},
+                                   {"v": [1, 2], "beta": -1e150},
+                                   {"v": [2, 3], "beta": 1e150}]},
+    "exact-sum": {"n": 4, "edges": [{"v": [i, i + 1], "beta": 1e154}
+                                    for i in range(3)]},
+    "cubic": hypergraph_to_doc(random_regular_graph(random.Random(0), 6, 3,
+                                                    1e40)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_DOCS))
+@pytest.mark.parametrize("argv", [
+    ["approx", "--lambda", "0.5", "--epsilon", "0.1"],
+    ["approx", "--lambda", "0.5", "--epsilon", "0.01"],
+    ["coeffs", "--m", "4"], ["coeffs", "--m", "6"]])
+def test_overflowing_power_sums_refused(capsys, write_doc, name, argv):
+    # one refusal, where these exited 1 on fsum's "-inf + inf", raised an
+    # OverflowError from the rational sums, or printed null power sums
+    doc = OVERFLOW_DOCS[name]
+    code, rep, err = run_cli(capsys, [argv[0], write_doc(doc), *argv[1:]])
+    assert code == 2 and rep is None
+    order = 3 if name == "cubic" else 2
+    assert err == (f"refused: the power sums to order {order} overflow"
+                   f" double precision on {doc['n']} vertices\n")
+
+
+def test_overflowing_hosts_keep_the_oracle_exit_codes(capsys, write_doc):
+    # the oracle refuses the two paths itself and answers the cubic host,
+    # without a numpy warning (a warning fails this test)
+    for name, want in (("opposite", 2), ("exact-sum", 2), ("cubic", 0)):
+        path = write_doc(OVERFLOW_DOCS[name])
+        code, _, err = run_cli(capsys, ["zeros", path])
+        assert code == want
+        assert err.count("\n") == (want == 2)
+
+
+def test_overflowing_power_sums_refused_in_a_fresh_process(write_doc):
+    # the module entry point, where a numpy warning would reach stderr
+    import subprocess
+
+    cli_argv = [sys.executable, "-m", "hyperising.cli"]
+    proc = subprocess.run(cli_argv + ["coeffs", write_doc(
+        OVERFLOW_DOCS["exact-sum"]), "--m", "4"], capture_output=True,
+        text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("refused:")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    doc = hypergraph_to_doc(random_regular_graph(random.Random(0), 6, 3, 0.3))
+    proc = subprocess.run(cli_argv + ["approx", write_doc(doc), "--lambda",
+                                      "0.5", "--epsilon", "0.1"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert strict_json(proc.stdout)["command"] == "approx"
+
+
 def test_coeffs_order_above_cap_exit_two(capsys, write_doc):
     path = write_doc(K2_DOC)
     code, rep, err = run_cli(capsys, ["coeffs", path, "--m", "25"])
@@ -440,6 +501,26 @@ def test_sweep_past_int64_counts_refused_at_once(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and rep is None
     assert err.startswith("refused:") and "int64" in err
+
+
+def test_sweep_grid_past_its_cap_refused_at_once(capsys):
+    # 10^12 steps asked numpy for a 7.28 TiB grid, and its memory error
+    # escaped as a traceback; the cap is checked before the grid exists
+    argv = ["sweep", "--random-regular", "8,3", "--beta-from", "0",
+            "--beta-to", "0.5", "--steps"]
+    start = time.perf_counter()
+    code, rep, err = run_cli(capsys, argv + [str(10 ** 12)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and rep is None
+    assert err == ("refused: a grid of 1000000000000 x 9 coefficients is"
+                   f" above the cap {cli.SWEEP_GRID_CELLS}\n")
+    most = cli.SWEEP_GRID_CELLS // 9
+    assert run_cli(capsys, argv + [str(most + 1)])[0] == 2
+    # the benchmark's grid, 21 steps on 18 vertices, is far below it
+    code, rep, _ = run_cli(capsys, ["sweep", "--random-regular", "18,3",
+                                    "--beta-from", "-0.5", "--beta-to", "0.8",
+                                    "--steps", "21"])
+    assert code == 0 and len(rep["result"]["rows"]) == 21
 
 
 def test_sweep_cubic_host_at_the_default_cap_answers_at_once(capsys):
@@ -958,3 +1039,46 @@ def test_approx_on_a_zero_writes_null_log(capsys, write_doc):
     result = strict_json(capsys.readouterr().out)["result"]
     assert result["log_z_estimate"] == [None, 0.0]
     assert result["z_estimate"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["enumerate", "{path}", "--t", "0"], "--t must be >= 1"),
+    (["coeffs", "{path}", "--m", "0"], "--m must be >= 1"),
+    (["sweep", "{path}", "--random-regular", "8,3", "--beta-from", "0",
+      "--beta-to", "0.5"], "provide an input file or --random-regular"),
+    (["sweep", "--beta-from", "0", "--beta-to", "0.5"],
+     "provide an input file or --random-regular"),
+    (["sweep", "{path}", "--beta-from", "0", "--beta-to", "0.5",
+      "--steps", "0"], "--steps must be >= 1"),
+    (["sweep", "--random-regular", "8", "--beta-from", "0",
+      "--beta-to", "0.5"], "--random-regular expects N,DEGREE"),
+])
+def test_bad_command_values_exit_one(capsys, write_doc, argv, message):
+    path = write_doc(K2_DOC)
+    code, rep, err = run_cli(capsys, [a.format(path=path) for a in argv])
+    assert code == 1 and rep is None
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_input_that_is_not_json_exit_one(capsys, tmp_path):
+    path = tmp_path / "host.json"
+    path.write_text("{not json")
+    code, rep, err = run_cli(capsys, ["zeros", str(path)])
+    assert code == 1 and rep is None
+    assert err.startswith(f"error: input {str(path)!r} is not valid JSON")
+
+
+def test_empty_host_power_sums_and_estimate(capsys, write_doc):
+    # no label sets: every power sum and elementary function is 0, Z = 1
+    path = write_doc({"n": 0, "edges": []})
+    code, rep, _ = run_cli(capsys, ["coeffs", path, "--m", "3"])
+    assert code == 0
+    result = rep["result"]
+    assert result["power_sums"] == result["elementary"] == [[0, 0]] * 3
+    assert result["coefficients"] == [[1, 0]] + [[0, 0]] * 3
+    for lam in ("0.5", "-2,1"):
+        code, rep, _ = run_cli(capsys, ["approx", path, f"--lambda={lam}",
+                                        "--epsilon", "0.1"])
+        assert code == 0
+        assert rep["result"]["z_estimate"] == [1, 0]
+        assert rep["result"]["evaluation"] == "polynomial"

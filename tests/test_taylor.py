@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperising import (
+    HyperIsingError,
     OrderCapError,
     PartitionEstimator,
     TableActivity,
@@ -319,8 +320,25 @@ def test_reentrant_call_sees_one_snapshot(monkeypatch):
 
 
 def test_empty_host():
-    ap = PartitionEstimator(edgeless(0)).approximate(0.5, 0.1)
-    assert ap.value == 1.0
+    est = PartitionEstimator(edgeless(0))
+    assert est.approximate(0.5, 0.1).value == 1.0
+    assert est.approximate(-2 + 1j, 0.1).value == 1.0
+    assert est.power_sums_up_to(3) == [0j] * 3
+    assert est.elementary() == []
+
+
+@pytest.mark.parametrize("g", [
+    path_graph(4, 1e154),
+    random_regular_graph(random.Random(0), 6, 3, 1e40)])
+def test_overflowing_power_sums_refused(g):
+    # on the path the table values are finite and their exact sums
+    # overflow; on the cubic host the values pass the range from order 3
+    # on. Either way the build is refused once, without a numpy warning
+    est = PartitionEstimator(g)
+    for call in (lambda: est.power_sums_up_to(4),
+                 lambda: est.approximate(0.5, 0.1)):
+        with pytest.raises(HyperIsingError, match="power sums to order"):
+            call()
 
 
 def test_series_path_below_host_size():
