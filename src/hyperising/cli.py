@@ -56,9 +56,10 @@ from .taylor import DEFAULT_ORDER_CAP, PartitionEstimator
 log = logging.getLogger("hyperising")
 
 ENV_PREFIX = "HYPERISING_"
-# coefficients a sweep grid may hold, steps x (n + 1): at the bound an 18-
-# or 24-vertex cubic host takes 10-13 s of CPU and 160-176 MB (2-CPU VM)
-SWEEP_GRID_CELLS = 1 << 20
+# root work a sweep grid may ask for, steps x (n + 1)^2 cells, as a row's
+# roots cost about 0.5-0.6 us a cell: at the bound a cubic host takes
+# 8.9-9.3 s of CPU and at most 153 MB at n = 18, 24 and 48 (2-CPU VM)
+SWEEP_GRID_CELLS = 15 << 20
 
 
 class CliInputError(Exception):
@@ -426,8 +427,8 @@ def _cmd_sweep(args) -> dict:
 
         g = random_regular_graph(random.Random(args.seed), n, degree, 0.5)
         digest = None
-    if args.steps * (g.n + 1) > SWEEP_GRID_CELLS:
-        raise CapError(f"a grid of {args.steps} x {g.n + 1} coefficients is"
+    if args.steps * (g.n + 1) ** 2 > SWEEP_GRID_CELLS:
+        raise CapError(f"a grid of {args.steps} x {g.n + 1}^2 root cells is"
                        f" above the cap {SWEEP_GRID_CELLS}")
     t1 = time.perf_counter()
     hist = cut_histogram(g, cap=args.oracle_cap)

@@ -79,11 +79,12 @@ share a table id, a labelled structure pins down the edges its set
 meets, so classing is skipped and every set is its own class. Classes
 are numbered in the order of their sorted keys.
 
-A set's edges are read one way, as slots (`_slots`): the distinct edges
-meeting it, ascending, padded with a dummy edge, each position labelled
-by its set vertex or "outside" (`_labels_on`). The lattices and the
-structure keys read a set's slots, the pre-keys the edges through v, and
-`_slot_codes` alone writes the table id and trace of a slot for both.
+A set's edges are read one way, as slots (`_distinct`, the enumeration's
+dedup): the distinct edges meeting it, ascending, padded with a dummy
+edge, each position labelled by its set vertex or "outside"
+(`_labels_on`). The lattices and the structure keys read a set's slots,
+the pre-keys the edges through v, and `_slot_codes` alone writes the
+table id and trace of a slot for both.
 
 The pair rows read the index rows of the representatives alone, and an
 index row reads the rows of its set's parents. So once the classes of
@@ -119,7 +120,7 @@ import numpy as np
 
 from .errors import MemoryCapError
 from .hypergraph import Hypergraph
-from .subgraphs import ConnectedFamily, enumerate_connected
+from .subgraphs import ConnectedFamily, _distinct, enumerate_connected
 
 # cells per chunk of same-size sets: local subsets of the lattices, ranked
 # sums, pair rows and gathers, or (set, slot, edge position) cells of the
@@ -172,16 +173,6 @@ class CoefficientTable:
         return tuple(out)
 
 
-def _slots(sets: np.ndarray, inc: np.ndarray, ev: np.ndarray) -> np.ndarray:
-    """slot[j, s]: the distinct edges meeting sets[j], ascending, then the
-    dummy edge (the last, which meets nothing) up to width k * degree."""
-    dummy = len(ev) - 1
-    slot = np.sort(inc[sets].reshape(len(sets), -1), axis=1)
-    slot[:, 1:][slot[:, 1:] == slot[:, :-1]] = dummy
-    slot.sort(axis=1)
-    return slot
-
-
 def _labels_on(sets: np.ndarray, labels: np.ndarray,
                ends: np.ndarray) -> np.ndarray:
     """lab[j, s, p]: 1 + labels[j, i] when the p-th vertex of the edge
@@ -224,9 +215,7 @@ def _edge_products(sets: np.ndarray, inc: np.ndarray, ev: np.ndarray,
     nsets, k = sets.shape
     # the slots up to the widest real one, at least one per set; the
     # dummy edge's table is a lone 1
-    slot = _slots(sets, inc, ev)
-    real = np.count_nonzero(slot.min(axis=0) < len(ev) - 1)
-    slot = slot[:, :max(1, real)].T
+    slot = _distinct(inc[sets].reshape(nsets, -1), len(ev) - 1).T
     # place[s, i, j] = 2^p when the i-th vertex of set j is the p-th
     # vertex of edge slot s, so the table code of local mask x is the
     # slot's start plus sum_i bit_i(x) * place[s, i, j]
@@ -304,18 +293,20 @@ def _structure_keys(sets: np.ndarray, inc: np.ndarray, ev: np.ndarray,
     (equal rows mean equal a_t), and the local order the row is written
     in: rank[j, i] is the rank of the i-th vertex of set j.
 
-    The row is the sorted `_slot_codes` of the set's `_slots` under the
-    ranks, the dummy slots first, so all rows of a size have one width.
-    The local order sorts the vertices by colour, and breaks ties by
-    vertex label. An edge's colour hashes its table id and the colours of
-    the set's vertices on it, bound to their positions when the table is
-    not order-free; a vertex's colour hashes the colours of its edges,
-    refined three times after the first. A weak order costs classes,
-    never correctness: whatever the order, a row determines every edge
-    product and every connected subset under it.
+    The row is the sorted `_slot_codes` of the set's slots under the
+    ranks, right-aligned in k * degree codes of -1, the dummy edge's, so
+    all rows of a size have one width. The local order sorts the vertices
+    by colour, and breaks ties by vertex label. An edge's colour hashes
+    its table id and the colours of the set's vertices on it, bound to
+    their positions when the table is not order-free; a vertex's colour
+    hashes the colours of its edges, refined three times after the first.
+    A weak order costs classes, never correctness: whatever the order, a
+    row determines every edge product and every connected subset under
+    it.
     """
     nsets, k = sets.shape
-    slot = _slots(sets, inc, ev)
+    # up to the widest real slot: a dummy slot adds nothing to any colour
+    slot = _distinct(inc[sets].reshape(nsets, -1), len(ev) - 1)
     ends = ev[slot]
     # cell (j, s, p) reads the colour of the vertex of set j at position p
     # of slot s, or the spare last colour when that vertex is outside
@@ -337,9 +328,11 @@ def _structure_keys(sets: np.ndarray, inc: np.ndarray, ev: np.ndarray,
         colour = _mix(colour + back)
     rank = np.argsort(np.argsort(colour[:-1].reshape(nsets, k), axis=1,
                                  kind="stable"), axis=1)
-    keys = _slot_codes(slot, _labels_on(sets, rank, ends), tid, order_free,
+    code = _slot_codes(slot, _labels_on(sets, rank, ends), tid, order_free,
                        k)
-    keys.sort(axis=1)
+    code.sort(axis=1)
+    keys = np.full((nsets, k * inc.shape[1]), -1, dtype=np.int64)
+    keys[:, -code.shape[1]:] = code
     return keys, rank
 
 

@@ -141,7 +141,10 @@ def _finite_real(x) -> bool:
         return False
 
 
-def _parse_activity(obj: Mapping, size: int) -> EdgeActivity:
+def _parse_activity(obj: Mapping, place: list[int]) -> EdgeActivity:
+    """The edge's activity; the j-th spin of a table key sets bit place[j],
+    the position of the edge's j-th listed vertex in its sorted order."""
+    size = len(place)
     if ("beta" in obj) == ("phi" in obj):
         raise SchemaError("edge must carry exactly one of 'beta' or 'phi'")
     if "beta" in obj:
@@ -159,7 +162,7 @@ def _parse_activity(obj: Mapping, size: int) -> EdgeActivity:
         bits = 0
         for j, ch in enumerate(key):
             if ch == "+":
-                bits |= 1 << j
+                bits |= 1 << place[j]
             elif ch not in MINUS_CHARS:
                 raise SchemaError(f"spin key {key!r} contains invalid character")
         if values[bits] is not None:
@@ -179,8 +182,8 @@ def parse_hypergraph(doc) -> Hypergraph:
 
     Schema: {"n": int, "edges": [{"v": [int,...], "beta": float}
                                  | {"v": [...], "phi": {"++-...": [re,im], ...}}]}
-    Spin-table keys follow the order vertices are listed in "v"; if "v" is
-    given out of order the table is re-indexed to the sorted vertex list.
+    Spin-table keys follow the order vertices are listed in "v"; each key is
+    read straight into the table of the sorted vertex list.
     """
     if not isinstance(doc, Mapping):
         raise SchemaError("input document must be a JSON object")
@@ -208,19 +211,9 @@ def parse_hypergraph(doc) -> Hypergraph:
             raise SchemaError("edge size must be >= 2")
         if any(x < 0 or x >= n for x in v):
             raise SchemaError(f"vertex id out of range in edge {list(v)}")
-        activity = _parse_activity(obj, len(v))
-        order = sorted(range(len(v)), key=lambda j: v[j])
-        if order != list(range(len(v))) and isinstance(activity, TableActivity):
-            # re-index table bits from given order to sorted vertex order
-            remapped = [None] * len(activity.values)
-            for bits, val in enumerate(activity.values):
-                nb = 0
-                for jnew, jold in enumerate(order):
-                    if bits >> jold & 1:
-                        nb |= 1 << jnew
-                remapped[nb] = val
-            activity = TableActivity(tuple(remapped))
-        edges.append(Hyperedge(tuple(sorted(v)), activity))
+        ordered = sorted(v)
+        activity = _parse_activity(obj, [ordered.index(x) for x in v])
+        edges.append(Hyperedge(tuple(ordered), activity))
     return Hypergraph(n, tuple(edges))
 
 

@@ -133,13 +133,14 @@ def _mate_codes(sets: np.ndarray, mates: np.ndarray, base: int,
 
 def _distinct(codes: np.ndarray, pad: int) -> np.ndarray:
     """Each row of codes ascending with its repeats dropped, the padding
-    (pad and past it) last, cut to the widest row."""
+    (pad and past it) last, cut to the widest row but one column at
+    least."""
     codes.sort(axis=1)
     tail = codes[:, 1:]
     tail[tail == codes[:, :-1]] = pad
     codes.sort(axis=1)
     # the column minima ascend, as every row does
-    width = np.searchsorted(codes.min(axis=0, initial=pad), pad)
+    width = max(1, np.searchsorted(codes.min(axis=0, initial=pad), pad))
     return codes[:, :width].copy() if width < codes.shape[1] else codes
 
 

@@ -169,13 +169,15 @@ class PartitionEstimator:
                 if not np.isfinite(table.values).all():
                     raise OverflowError
                 p = power_sums(table)
+                e = power_sums_to_elementary(p)
+                if build == half:
+                    p, e = complete_self_inversive(p, e, self.host.n)
+                if not all(map(cmath.isfinite, p + e)):
+                    raise OverflowError
             except OverflowError:
                 raise HyperIsingError(
                     f"the power sums to order {build} overflow double"
                     f" precision on {self.host.n} vertices") from None
-            e = power_sums_to_elementary(p)
-            if build == half:
-                p, e = complete_self_inversive(p, e, self.host.n)
             state = (p, e)
             self._state = state
         return state
@@ -193,7 +195,11 @@ class PartitionEstimator:
         if m <= len(p):
             return p[:m]
         # sums never go past n, so this snapshot covers the host
-        return extend_power_sums(p, e, m)
+        p = extend_power_sums(p, e, m)
+        if not all(map(cmath.isfinite, p)):
+            raise HyperIsingError(f"the power sums to order {m} overflow"
+                                  f" double precision on {n} vertices")
+        return p
 
     def elementary(self) -> list[complex]:
         """e_1..e_depth for the deepest order computed so far; e_1..e_n

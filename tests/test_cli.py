@@ -139,6 +139,14 @@ def test_exact_command(capsys, write_doc):
     assert coeffs == [1, 1, 1]
 
 
+def test_exact_multivariate_needs_one_activity_per_vertex(capsys, write_doc):
+    code, rep, err = run_cli(capsys, ["exact", write_doc(PATH_DOC),
+                                      "--lambda", "0.5", "--multivariate",
+                                      "0.3;0.2"])
+    assert (code, rep, err) == (1, None,
+                                "error: expected 3 vertex activities, got 2\n")
+
+
 def test_zeros_command_three_edge(capsys, write_doc):
     path = write_doc(EDGE3_DOC)
     code, rep, _ = run_cli(capsys, ["zeros", path])
@@ -218,6 +226,16 @@ def test_tight_example_input_errors(capsys, k, beta, message):
     code, rep, err = run_cli(capsys, ["tight-example", "--k", str(k),
                                       "--beta", str(beta)])
     assert (code, rep, err) == (1, None, f"error: {message}\n")
+
+
+def test_tight_example_refuses_a_witness_on_the_circle(capsys):
+    # just past the k = 4 range every root stays within tolerance; the
+    # deviation's digits come from LAPACK, so only the prefix is fixed
+    code, rep, err = run_cli(capsys, ["tight-example", "--k", "4",
+                                      "--beta", "0.5000000001"])
+    assert code == 2 and rep is None
+    assert err.startswith("refused: no root strayed beyond 10x circle"
+                          " tolerance")
 
 
 @pytest.mark.parametrize("k", [59, 60, 200, 1024])
@@ -400,6 +418,29 @@ def test_overflowing_hosts_keep_the_oracle_exit_codes(capsys, write_doc):
         assert err.count("\n") == (want == 2)
 
 
+@pytest.mark.parametrize("beta, argv, order", [
+    (1e60, ["coeffs", "--m", "4"], 2),
+    (1e60, ["approx", "--lambda", "0.5", "--epsilon", "0.1"], 2),
+    (1e30, ["coeffs", "--m", "8"], 8)])
+def test_power_sums_past_the_tables_refused(capsys, write_doc, beta, argv,
+                                            order):
+    # a 4-vertex path whose half-depth sums are finite: at beta = 1e60 the
+    # mirror's completion to order 4 overflows, at 1e30 the Newton
+    # extension past n does. These exited 0 with null power sums, and
+    # approx with log Z = 276.5 where Z = 5e179; exact still answers
+    path = write_doc({"n": 4, "edges": [{"v": [i, i + 1], "beta": beta}
+                                        for i in range(3)]})
+    code, rep, err = run_cli(capsys, [argv[0], path, *argv[1:]])
+    assert code == 2 and rep is None
+    assert err == (f"refused: the power sums to order {order} overflow"
+                   " double precision on 4 vertices\n")
+    code, rep, _ = run_cli(capsys, ["exact", path, "--lambda", "0.5"])
+    z = complex(*rep["result"]["z"])
+    assert code == 0 and math.isfinite(abs(z))
+    assert z == exact_partition(parse_hypergraph(
+        json.loads(Path(path).read_text())), 0.5)
+
+
 def test_overflowing_power_sums_refused_in_a_fresh_process(write_doc):
     # the module entry point, where a numpy warning would reach stderr
     import subprocess
@@ -505,17 +546,23 @@ def test_sweep_past_int64_counts_refused_at_once(capsys):
 
 def test_sweep_grid_past_its_cap_refused_at_once(capsys):
     # 10^12 steps asked numpy for a 7.28 TiB grid, and its memory error
-    # escaped as a traceback; the cap is checked before the grid exists
+    # escaped as a traceback; the cap bounds the root work, steps x
+    # (n + 1)^2 cells, and is checked before the grid exists
     argv = ["sweep", "--random-regular", "8,3", "--beta-from", "0",
             "--beta-to", "0.5", "--steps"]
     start = time.perf_counter()
     code, rep, err = run_cli(capsys, argv + [str(10 ** 12)])
     assert time.perf_counter() - start < 1.0
     assert code == 2 and rep is None
-    assert err == ("refused: a grid of 1000000000000 x 9 coefficients is"
+    assert err == ("refused: a grid of 1000000000000 x 9^2 root cells is"
                    f" above the cap {cli.SWEEP_GRID_CELLS}\n")
-    most = cli.SWEEP_GRID_CELLS // 9
-    assert run_cli(capsys, argv + [str(most + 1)])[0] == 2
+    most = cli.SWEEP_GRID_CELLS // 9 ** 2
+    start = time.perf_counter()
+    code, rep, err = run_cli(capsys, argv + [str(most + 1)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and err == (f"refused: a grid of {most + 1} x 9^2 root"
+                                 f" cells is above the cap"
+                                 f" {cli.SWEEP_GRID_CELLS}\n")
     # the benchmark's grid, 21 steps on 18 vertices, is far below it
     code, rep, _ = run_cli(capsys, ["sweep", "--random-regular", "18,3",
                                     "--beta-from", "-0.5", "--beta-to", "0.8",

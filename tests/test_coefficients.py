@@ -27,7 +27,7 @@ from hyperising import (
 from hyperising import coefficients
 from hyperising.instances import (random_connected_hypergraph,
                                   random_regular_graph, random_symmetric_table)
-from hyperising.subgraphs import _edge_arrays
+from hyperising.subgraphs import _distinct, _edge_arrays
 
 from conftest import (brute_connected_sets, disjoint_union, edgeless,
                       ising_edge, k2, max_coeff_rel_err, path_graph,
@@ -647,17 +647,22 @@ def test_edge_products_match_set_weights(case):
 @settings(derandomize=True, deadline=None, max_examples=15)
 @given(lattice_cases(), st.data())
 def test_slots_and_labels_match_brute_force(case, data):
-    # each slot row lists every edge meeting its set once, ascending, then
-    # only the dummy edge; a slot edge's positions read 1 + the label of
-    # the set vertex there, and 0 where the vertex is outside the set
+    # each slot row, the set's incident edges through the enumeration's
+    # dedup, lists every edge meeting its set once, ascending, then only
+    # the dummy edge, up to the widest row (one slot at least); a slot
+    # edge's positions read 1 + the label of the set vertex there, and 0
+    # where the vertex is outside the set
     g, sets = case
     inc, ev = _edge_arrays(g)
     dummy = len(g.edges)
     labels = np.asarray([data.draw(st.permutations(range(sets.shape[1])))
                          for _ in sets])
-    slot = coefficients._slots(sets, inc, ev)
+    slot = _distinct(inc[sets].reshape(len(sets), -1), dummy)
     lab = coefficients._labels_on(sets, labels, ev[slot])
-    assert slot.shape == (len(sets), sets.shape[1] * inc.shape[1])
+    assert 1 <= slot.shape[1] <= sets.shape[1] * inc.shape[1]
+    assert slot.shape == (len(sets), max(1, max(
+        sum(not set(s).isdisjoint(e.vertices) for e in g.edges)
+        for s in sets.tolist())))
     for j, members in enumerate(sets.tolist()):
         meeting = [i for i, e in enumerate(g.edges)
                    if not set(members).isdisjoint(e.vertices)]
@@ -882,6 +887,12 @@ def test_weight_matches_definition_on_random_sets():
 def test_rejects_bad_order():
     with pytest.raises(ValueError):
         compute_coefficient_tables(k2(), 0)
+
+
+def test_rejects_family_shallower_than_the_depth():
+    g = random_regular_graph(random.Random(0), 8, 3, 0.3)
+    with pytest.raises(ValueError, match="family enumerated to 3, need 5"):
+        compute_coefficient_tables(g, 5, fam=enumerate_connected(g, 3))
 
 
 def test_rejects_family_of_another_host():

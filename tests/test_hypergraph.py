@@ -180,3 +180,22 @@ def test_disjoint_union_shifts_ids():
     g = disjoint_union(k2(0.5), path3(0.4))
     assert g.n == 5
     assert g.edges[1].vertices == (2, 3) and g.edges[2].vertices == (3, 4)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TableActivity((1, 2, 3)), "spin table must have 2^|e| entries"),
+    (lambda: Hyperedge((0,), IsingActivity(0.5)),
+     "hyperedge size must be >= 2"),
+    (lambda: Hyperedge((1, 0), IsingActivity(0.5)),
+     "hyperedge vertices must be sorted and duplicate-free"),
+    (lambda: Hyperedge((-1, 0), IsingActivity(0.5)), "negative vertex id"),
+    (lambda: Hyperedge((0, 1), TableActivity((1,) * 8)),
+     "spin table size does not match edge size"),
+    (lambda: Hypergraph(-1, ()), "vertex count must be non-negative"),
+    (lambda: Hypergraph(2, (ising_edge((0, 5), 0.5),)),
+     "vertex id 5 out of range for n=2"),
+])
+def test_constructors_refuse_malformed_parts(build, message):
+    with pytest.raises(SchemaError) as info:
+        build()
+    assert str(info.value) == message

@@ -510,6 +510,11 @@ def test_stacked_calls_split_at_the_cell_budget(caplog, monkeypatch):
     assert [r.tobytes() for r in split] == [r.tobytes() for r in whole]
 
 
+def test_roots_refuse_a_three_dimensional_stack():
+    with pytest.raises(SchemaError, match="one coefficient row or a stack"):
+        polynomial_roots(np.ones((2, 2, 3)))
+
+
 def test_zero_report_contract():
     g = path_graph(8, 0.45)
     rep = zero_report(g, residual_tol=1e-8)

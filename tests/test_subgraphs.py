@@ -321,6 +321,13 @@ def test_rejects_nonpositive_budget():
         enumerate_connected(k2(), 0)
 
 
+def test_sizes_outside_the_budget_are_empty():
+    fam = enumerate_connected(path3(), 2)
+    for s in (0, 3):
+        sets = fam.sets_of_size(s)
+        assert sets.shape == (0, s) and sets.dtype == np.int64
+
+
 def test_subtree_bound_formula():
     assert subtree_count_bound(3, 1) == 0.5
     assert subtree_count_bound(3, 3) == pytest.approx((3 * math.e) ** 2 / 2)

@@ -554,3 +554,11 @@ def test_estimator_keeps_no_tables(monkeypatch, call):
     gc.collect()
     assert len(refs) == 2 and all(ref() is None for ref in refs)
     assert len(est.elementary()) >= 5
+
+
+def test_series_helpers_refuse_what_they_cannot_bound():
+    with pytest.raises(ValueError, match=r"bound requires \|lambda\| < 1"):
+        truncation_bound(8, 1.0, 3)
+    with pytest.raises(ValueError,
+                       match="need power sums to order 3, got 2"):
+        truncated_log_partition([0.1, 0.2], 0.5, 3)
