@@ -147,7 +147,7 @@ _GLOBAL_FLAGS = {
     "--tol-circle": (tolerance, DEFAULT_CIRCLE_TOL,
                      "allowed deviation of |root| from 1"),
     "--tol-residual": (tolerance, DEFAULT_RESIDUAL_TOL,
-                       "allowed |P(root)| relative to max |coefficient|"),
+                       "allowed |P(r)| / sum |c_i| |r|^i at each root r"),
     "--seed": (int, 0, "seed for generated instances"),
 }
 
@@ -503,6 +503,9 @@ def _run(args) -> int:
         return 1
     except HyperIsingError as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an allocation no cap predicted
+        print(f"refused: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     report["timings"]["total"] = round(time.perf_counter() - start, 6)
     # strict JSON: a NaN or infinity anywhere raises before any output

@@ -26,18 +26,11 @@ from .hypergraph import Hypergraph, IsingActivity
 DEFAULT_VERTEX_CAP = 24
 # H's largest int64 count, C(n, n // 2), passes 2^63 - 1 at n = 67
 HISTOGRAM_MAX_N = 66
-# allowed |P(root)| relative to max |c_i| of a returned root
+# allowed backward error |P(r)| / sum |c_i| |r|^i of a returned root r
 DEFAULT_RESIDUAL_TOL = 1e-8
 _BLOCK_BITS = 20  # int64-sized cells per transfer state, sets per 2^n block
 
 log = logging.getLogger(__name__)
-
-# Leading coefficients below this fraction of max |c_i| are stripped
-# before the degree is fixed. On an Ising host c_n = c_0 = 1 while the
-# middle c_i grow like beta^cuts, so this starts once max |c_i| > 1e12:
-# on an 8-vertex cubic host at beta = 1e3 (max |c_i| = 4.0e30) the degree
-# drops to 7 and the roots fail the residual check at 4.9e23 relative.
-LEADING_STRIP_REL = 1e-12
 
 
 def check_vertex_cap(n: int, cap: int) -> None:
@@ -299,43 +292,49 @@ def polyval(coeffs, z) -> np.ndarray:
 def _companion_eigvals(p: np.ndarray) -> tuple[np.ndarray, dict]:
     """Eigenvalues of the companion matrix `np.roots` builds from each row
     of p (highest coefficient first, p[:, 0] != 0), by one call on the
-    stack, and the LAPACK error of each row that did not converge."""
+    stack of the finite matrices, and the error of each other row: its
+    matrix overflows, or LAPACK did not converge (its eigenvalues NaN)."""
     k, m = p.shape[0], p.shape[1] - 1
+    eig = np.full((k, m), np.nan, dtype=np.complex128)
     if m == 0:  # a monomial: its roots are all zero roots
-        return np.zeros((k, 0), dtype=np.complex128), {}
+        return eig, {}
     a = np.zeros((k, m, m), dtype=np.complex128)
     a[:, 0] = -p[:, 1:] / p[:, :1]
     a[:, np.arange(1, m), np.arange(m - 1)] = 1
+    fits = np.isfinite(a[:, 0]).all(axis=1)
+    failed = {j: RootConvergenceError(f"leading coefficient {abs(p[j, 0]):.3e}"
+                                      " overflows the companion matrix")
+              for j in np.flatnonzero(~fits).tolist()}
     try:
-        return np.linalg.eigvals(a), {}
+        eig[fits] = np.linalg.eigvals(a[fits])
     except np.linalg.LinAlgError:  # pragma: no cover - LAPACK failure
-        eig, failed = np.zeros((k, m), dtype=np.complex128), {}
-        for j in range(k):  # the stack fails as a whole: find its rows
+        for j in np.flatnonzero(fits):  # the stack fails as a whole
             try:
                 eig[j] = np.linalg.eigvals(a[j])
             except np.linalg.LinAlgError as exc:
-                failed[j] = exc
-        return eig, failed
+                failed[j] = RootConvergenceError(
+                    f"eigenvalue iteration failed: {exc}")
+    return eig, failed
 
 
 def polynomial_roots(coeffs, tol: float = DEFAULT_RESIDUAL_TOL, *,
                      residuals: bool = False):
     """All roots of sum c_i lam^i via companion-matrix eigenvalues.
 
-    Near-zero leading coefficients (relative to max |c_i|) are stripped
-    first so spurious huge roots cannot appear; the companion matrix is
-    the one `np.roots` builds, zero roots split off. Each returned root r
-    must satisfy |P(r)| <= tol * max|c_i| for the stripped P; the list is
-    sorted by (|r|, arg r). With `residuals`, returns (roots, |c(r)|),
-    each root's residual against all of c in the same order.
+    The degree is that of the last nonzero coefficient; the companion
+    matrix is the one `np.roots` builds, zero roots split off. A row is
+    refused unless each root r has a backward error
+    |P(r)| / sum |c_i| |r|^i (Tisseur, Linear Algebra Appl. 2000) of at
+    most tol, a split-off zero root none. The list is sorted by
+    (|r|, arg r). With `residuals`, returns (roots, |c(r)|) in that order.
 
     A (rows, d+1) stack gives a list with one such array per row, each
-    equal bit for bit to the row's own. The rows of one stripped degree
-    and one count of zero roots share one eigenvalue call on their
-    stacked companion matrices (up to 2^20 cells a call) and one Horner
-    pass, which serves both the tolerance check and the residuals; the
-    error raised is the one of the first failing row. Logs one line per
-    call: rows, degrees, eigenvalue calls and worst relative residual.
+    equal bit for bit to the row's own. The rows of one degree and one
+    count of zero roots share one eigenvalue call on their stacked
+    companion matrices (up to 2^20 cells a call) and one Horner pass,
+    which serves both the backward errors and the residuals; the error
+    raised is the one of the first failing row. Logs one line per call:
+    rows, degrees, eigenvalue calls and the worst backward error.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.ndim > 2:
@@ -352,9 +351,7 @@ def polynomial_roots(coeffs, tol: float = DEFAULT_RESIDUAL_TOL, *,
     errors.update({int(j): RootConvergenceError(
         "coefficients are not finite: no defined root set")
         for j in np.flatnonzero(~np.isfinite(scale))})
-    kept = np.zeros_like(mags, dtype=bool)
-    kept[ok] = mags[ok] >= LEADING_STRIP_REL * scale[ok, None]
-    deg = np.where(ok, d - np.argmax(kept[:, ::-1], axis=1), 0)
+    deg = np.where(ok, d - np.argmax(rows[:, ::-1] != 0, axis=1), 0)
     at_zero = np.argmax(rows != 0, axis=1)  # c_0 = ... = 0: roots at 0
     roots = [np.zeros(0, dtype=np.complex128) for _ in rows]
     resid = [np.zeros(0) for _ in rows]
@@ -368,24 +365,23 @@ def polynomial_roots(coeffs, tol: float = DEFAULT_RESIDUAL_TOL, *,
         idx = live[group == g]
         step = max(1, (1 << _BLOCK_BITS) // max(1, (dg - z) ** 2))
         for part in np.split(idx, range(step, len(idx), step)):
-            eig, failed = _companion_eigvals(rows[part, z:dg + 1][:, ::-1])
-            calls += int(dg > z)
-            for j, exc in failed.items():
-                errors[int(part[j])] = RootConvergenceError(
-                    f"eigenvalue iteration failed: {exc}")
-            r = np.concatenate([eig, np.zeros((len(part), z), eig.dtype)],
-                               axis=1)
-            # an overflow leaves an inf or NaN residual, which fails below
+            # an overflow leaves an inf or NaN, which is refused
             with np.errstate(over="ignore", invalid="ignore"):
+                eig, failed = _companion_eigvals(rows[part, z:dg + 1][:, ::-1])
+                r = np.concatenate(
+                    [eig, np.zeros((len(part), z), eig.dtype)], axis=1)
                 mag = np.abs(polyval(rows[part, :dg + 1].T[..., None], r))
-                full = (mag if dg == d
-                        else np.abs(polyval(rows[part].T[..., None], r)))
-            worst[part] = mag.max(axis=1) / scale[part]
-            for j in part[~(mag <= tol * scale[part, None]).all(axis=1)]:
+                eta = mag / polyval(mags[part, :dg + 1].T[..., None],
+                                    np.abs(r)).real
+            calls += int(dg > z)
+            errors.update({int(part[j]): exc for j, exc in failed.items()})
+            eta[:, dg - z:] = 0  # split-off zero roots are exact
+            worst[part] = eta.max(axis=1)
+            for j in part[~(eta <= tol).all(axis=1)]:
                 errors.setdefault(int(j), RootConvergenceError(
                     f"root residual {worst[j]:.3e} above tolerance"
                     f" {tol:.1e} (relative)"))
-            for j, rj, fj in zip(part, r, full):
+            for j, rj, fj in zip(part, r, mag):
                 order = sorted(range(dg), key=lambda i: (
                     abs(rj[i]), cmath.phase(rj[i])))
                 roots[j], resid[j] = rj[order], fj[order]

@@ -150,7 +150,8 @@ class PartitionEstimator:
         assignment, and the tables are dropped. On a symmetric host the
         tables stop at depth n // 2, and a build that reaches it completes
         the sums to order n by the mirror, so no later request rebuilds.
-        A build whose values or sums pass the double range is refused."""
+        A build whose values or sums pass the double range is refused,
+        naming the order its sums reach: the build's, n once mirrored."""
         if depth > self.order_cap:
             raise OrderCapError(
                 f"truncation order {m} needs tables to order {depth}, "
@@ -165,18 +166,20 @@ class PartitionEstimator:
             fam = enumerate_connected(self.host, build, set_cap=self.set_cap)
             with np.errstate(over="ignore", invalid="ignore"):
                 table = compute_coefficient_tables(self.host, build, fam=fam)
+            order = build
             try:
                 if not np.isfinite(table.values).all():
                     raise OverflowError
                 p = power_sums(table)
                 e = power_sums_to_elementary(p)
                 if build == half:
-                    p, e = complete_self_inversive(p, e, self.host.n)
+                    order = self.host.n
+                    p, e = complete_self_inversive(p, e, order)
                 if not all(map(cmath.isfinite, p + e)):
                     raise OverflowError
             except OverflowError:
                 raise HyperIsingError(
-                    f"the power sums to order {build} overflow double"
+                    f"the power sums to order {order} overflow double"
                     f" precision on {self.host.n} vertices") from None
             state = (p, e)
             self._state = state

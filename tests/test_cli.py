@@ -86,6 +86,24 @@ def test_approx_unit_circle_exit_two(capsys, write_doc):
     assert "circle" in err.lower()
 
 
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 2.94 GiB for an array with shape"
+                 " (96229, 8192) and data type int32"),
+     "Unable to allocate 2.94 GiB for an array with shape (96229, 8192) and"
+     " data type int32"),
+    (MemoryError(), "out of memory")])
+def test_memory_error_exit_two(capsys, write_doc, monkeypatch, exc, line):
+    # an allocation that no cap predicts is refused in one line, where
+    # approx on a 30-vertex cubic host at m = 14 printed a traceback
+    def handler(args):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "approx", handler)
+    code, rep, err = run_cli(capsys, ["approx", write_doc(K2_DOC), "--lambda",
+                                      "0.5", "--epsilon", "0.1"])
+    assert (code, rep, err) == (2, None, f"refused: {line}\n")
+
+
 def test_missing_file_exit_one(capsys):
     code, rep, err = run_cli(capsys, ["approx", "/nonexistent.json",
                                       "--lambda", "0.3", "--epsilon", "0.1"])
@@ -246,6 +264,18 @@ def test_tight_example_below_range_at_high_degree(capsys, k):
     res = rep["result"]
     assert res["witness_root"] == [res["bracket_root"], 0.0]
     assert res["circle_deviation"] > 1e-5
+
+
+@pytest.mark.parametrize("k, deviation", [(60, 18.1), (100, 30.8)])
+def test_tight_example_far_below_max_coefficient(capsys, k, deviation):
+    # the witness's roots have backward errors near rounding although
+    # |P(r)| is 1e15 and more times max |c_i|, a scale that refused them
+    code, rep, _ = run_cli(capsys, ["tight-example", "--k", str(k),
+                                    "--beta", "0.5"])
+    assert code == 0
+    res = rep["result"]
+    assert res["circle_deviation"] > 10 * rep["parameters"]["tol_circle"]
+    assert res["circle_deviation"] == pytest.approx(deviation, abs=0.05)
 
 
 def test_tight_example_refuses_an_overflowing_witness(capsys):
@@ -409,9 +439,11 @@ def test_overflowing_power_sums_refused(capsys, write_doc, name, argv):
 
 
 def test_overflowing_hosts_keep_the_oracle_exit_codes(capsys, write_doc):
-    # the oracle refuses the two paths itself and answers the cubic host,
-    # without a numpy warning (a warning fails this test)
-    for name, want in (("opposite", 2), ("exact-sum", 2), ("cubic", 0)):
+    # the oracle refuses the two paths itself, and the cubic host because
+    # Horner's scheme overflows at its largest roots (backward error NaN),
+    # without a numpy warning (a warning fails this test); a leading
+    # coefficient strip once answered there with 3 of its 6 roots
+    for name, want in (("opposite", 2), ("exact-sum", 2), ("cubic", 2)):
         path = write_doc(OVERFLOW_DOCS[name])
         code, _, err = run_cli(capsys, ["zeros", path])
         assert code == want
@@ -419,15 +451,16 @@ def test_overflowing_hosts_keep_the_oracle_exit_codes(capsys, write_doc):
 
 
 @pytest.mark.parametrize("beta, argv, order", [
-    (1e60, ["coeffs", "--m", "4"], 2),
-    (1e60, ["approx", "--lambda", "0.5", "--epsilon", "0.1"], 2),
+    (1e60, ["coeffs", "--m", "4"], 4),
+    (1e60, ["approx", "--lambda", "0.5", "--epsilon", "0.1"], 4),
     (1e30, ["coeffs", "--m", "8"], 8)])
 def test_power_sums_past_the_tables_refused(capsys, write_doc, beta, argv,
                                             order):
     # a 4-vertex path whose half-depth sums are finite: at beta = 1e60 the
     # mirror's completion to order 4 overflows, at 1e30 the Newton
-    # extension past n does. These exited 0 with null power sums, and
-    # approx with log Z = 276.5 where Z = 5e179; exact still answers
+    # extension past n does, and the refusal names that order. These
+    # exited 0 with null power sums, and approx with log Z = 276.5 where
+    # Z = 5e179; exact still answers
     path = write_doc({"n": 4, "edges": [{"v": [i, i + 1], "beta": beta}
                                         for i in range(3)]})
     code, rep, err = run_cli(capsys, [argv[0], path, *argv[1:]])
@@ -504,6 +537,19 @@ def test_sweep_random_regular_with_seed(capsys):
     code2, rep2, _ = run_cli(capsys, argv)
     assert code == code2 == 0
     assert rep1["result"] == rep2["result"]
+
+
+def test_sweep_past_the_range_answers_every_row(capsys):
+    # at beta = 2.75 and 5 max |c_i| is 2.1e5 and 5.1e7, and a residual
+    # scaled by it refused the grid (1.048e-06 relative); each root's
+    # backward error stays near rounding
+    argv = ["sweep", "--random-regular", "8,3", "--beta-from", "0.5",
+            "--beta-to", "5", "--steps", "3"]
+    code, rep, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    rows = rep["result"]["rows"]
+    assert [row["beta"] for row in rows] == [0.5, 2.75, 5.0]
+    assert [row["in_range"] for row in rows] == [True, False, False]
 
 
 def test_sweep_high_beta_row_on_circle(capsys):

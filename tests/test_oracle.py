@@ -398,9 +398,39 @@ def test_root_ordering_is_deterministic():
 
 
 def test_trailing_coefficient_strip():
-    roots = polynomial_roots([1, 1, 1e-15])
+    # only exact-zero leading coefficients lower the degree: a tiny one
+    # keeps its huge root, whose backward error is as small as the other's
+    roots = polynomial_roots([1, 1, 0])
     assert len(roots) == 1
     np.testing.assert_allclose(roots, [-1], atol=1e-12)
+    roots = polynomial_roots([1, 1, 1e-15])
+    assert len(roots) == 2
+    np.testing.assert_allclose(roots, [-1, -1e15], rtol=1e-12)
+
+
+def test_subnormal_leading_coefficient_refused(caplog):
+    # 1 / 1e-320 overflows the companion matrix: that row is refused on
+    # its own, without a numpy warning (which would fail this test), and
+    # the rows stacked with it still share one eigenvalue call
+    for rows in ([1, 1, 1e-320], [[1, 2, 1], [1, 1, 1e-320], [2, 1, 3]]):
+        with (pytest.raises(RootConvergenceError,
+                            match="overflows the companion matrix"),
+              caplog.at_level(logging.INFO, logger="hyperising.oracle")):
+            polynomial_roots(rows)
+    assert "3 rows, degrees 2, 1 eigenvalue calls" in caplog.messages[-1]
+
+
+@pytest.mark.parametrize("beta", [100, 1000])
+def test_large_beta_rows_keep_every_root(beta):
+    # max |c_i| = 4.0e20 and 4.0e30 against c_8 = c_0 = 1 on this 8-vertex
+    # cubic host: the row keeps its degree, and each root's backward error
+    # stays near rounding, so the palindromic row gives 8 roots, 1/r a
+    # root with each root r
+    hist = cut_histogram(random_regular_graph(random.Random(0), 8, 3, 0.5))
+    roots = polynomial_roots(uniform_beta_coefficients(hist, beta))
+    assert len(roots) == 8
+    gaps = np.abs(1 / roots[:, None] - roots[None, :]).min(axis=1)
+    assert np.all(gaps <= 1e-8 / np.abs(roots))
 
 
 def test_zero_polynomial_rejected():
@@ -419,7 +449,8 @@ def _zeros_or_error(c):
 
 def assert_stack_matches_rows(rows):
     """One stacked call gives each row's own report bit for bit, or the
-    error of the first row that fails alone."""
+    error of the first row that fails alone; every root it returns has a
+    backward error |c(r)| / sum |c_i| |r|^i within the tolerance."""
     rows = np.asarray(rows, dtype=np.complex128)
     alone = [_zeros_or_error(row) for row in rows]
     stacked = _zeros_or_error(rows)
@@ -433,6 +464,9 @@ def assert_stack_matches_rows(rows):
         assert a.roots.tobytes() == b.roots.tobytes()
         assert a.residuals.tobytes() == b.residuals.tobytes()
         assert a.max_circle_deviation == b.max_circle_deviation
+        weights = np.abs(row) @ np.abs(b.roots) ** np.arange(len(row))[:, None]
+        assert np.all((b.residuals <= oracle.DEFAULT_RESIDUAL_TOL * weights)
+                      | (b.roots == 0))
     roots = polynomial_roots(rows)
     assert [r.tobytes() for r in roots] == [r.roots.tobytes() for r in stacked]
 
@@ -443,7 +477,7 @@ def assert_stack_matches_rows(rows):
        shapes=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                        min_size=1, max_size=8))
 def test_stacked_roots_match_row_by_row(seed, d, kind, shapes):
-    # each row (stripped leading terms, zero low terms) may take its own
+    # each row (zero leading terms, zero low terms) may take its own
     # degree and count of zero roots, and so its own eigenvalue call
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(len(shapes), d + 1)).astype(complex)
@@ -452,7 +486,7 @@ def test_stacked_roots_match_row_by_row(seed, d, kind, shapes):
     if kind == "self-inversive":
         rows = 0.5 * (rows + rows[:, ::-1].conj())
     for row, (stripped, low) in zip(rows, shapes):
-        row[d + 1 - min(stripped, d):] *= 1e-14
+        row[d + 1 - min(stripped, d):] = 0
         row[:min(low, d)] = 0
     assert_stack_matches_rows(rows)
 
@@ -471,24 +505,25 @@ def test_stacked_beta_grid_matches_row_by_row(seed, betas):
 
 def test_stacked_errors_follow_row_order():
     # the first failing row's error, whatever the rows after it raise;
-    # Wilkinson's (z - 1)...(z - 20) misses the residual check
-    wilkinson = np.poly(np.arange(1, 21))[::-1]
-    good, zero = np.zeros(21), np.zeros(21)
+    # 1 + 1e200 z + 1e-100 z^2 has a root near -1e300, where Horner's
+    # scheme overflows, so its backward error reads NaN
+    huge, good, zero = np.zeros(21), np.zeros(21), np.zeros(21)
+    huge[:3] = 1, 1e200, 1e-100
     good[[0, 2]] = 1
     overflow = good.copy()
     overflow[1] = math.inf
     with pytest.raises(SchemaError, match="zero polynomial"):
-        polynomial_roots([good, zero, wilkinson])
-    with pytest.raises(RootConvergenceError, match="root residual"):
-        polynomial_roots([good, wilkinson, zero])
+        polynomial_roots([good, zero, huge])
+    with pytest.raises(RootConvergenceError, match="root residual nan"):
+        polynomial_roots([good, huge, zero])
     with pytest.raises(RootConvergenceError, match="not finite"):
-        polynomial_roots([good, overflow, wilkinson])
+        polynomial_roots([good, overflow, huge])
     assert polynomial_roots(np.zeros((0, 3))) == []
 
 
 def test_root_stage_logs_one_line_per_call(caplog):
     # the first and last rows share a degree and so an eigenvalue call
-    rows = [[1, 2, 1], [1, 1, 1e-15], [0, 1, 1], [2, 1, 3]]
+    rows = [[1, 2, 1], [1, 1, 0], [0, 1, 1], [2, 1, 3]]
     with caplog.at_level(logging.INFO, logger="hyperising.oracle"):
         roots, resid = polynomial_roots(rows, residuals=True)
     (message,) = caplog.messages
