@@ -14,9 +14,6 @@ from .coefficients import (
 from .errors import (
     CapError,
     HyperIsingError,
-    MemoryCapError,
-    OracleCapError,
-    OrderCapError,
     RootConvergenceError,
     SchemaError,
     UnitCircleError,

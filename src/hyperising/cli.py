@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .coefficients import elementary_to_coefficients
-from .errors import CapError, HyperIsingError, SchemaError
+from .errors import HyperIsingError, SchemaError, check_cap
 from .hypergraph import Hypergraph, parse_hypergraph
 from .instances import random_regular_graph
 from .leeyang import (
@@ -427,9 +427,8 @@ def _cmd_sweep(args) -> dict:
 
         g = random_regular_graph(random.Random(args.seed), n, degree, 0.5)
         digest = None
-    if args.steps * (g.n + 1) ** 2 > SWEEP_GRID_CELLS:
-        raise CapError(f"a grid of {args.steps} x {g.n + 1}^2 root cells is"
-                       f" above the cap {SWEEP_GRID_CELLS}")
+    check_cap("sweep root cells", args.steps * (g.n + 1) ** 2,
+              SWEEP_GRID_CELLS)
     t1 = time.perf_counter()
     hist = cut_histogram(g, cap=args.oracle_cap)
     # each row puts its beta on every edge: one range per edge size

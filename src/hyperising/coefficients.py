@@ -118,7 +118,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MemoryCapError
+from .errors import check_cap
 from .hypergraph import Hypergraph
 from .subgraphs import ConnectedFamily, _distinct, enumerate_connected
 
@@ -128,6 +128,8 @@ from .subgraphs import ConnectedFamily, _distinct, enumerate_connected
 _CHUNK_CELLS = 1 << 17
 # spin-table entries per host (1 GiB), which keeps table codes in int64
 _TABLE_ENTRIES = 1 << 26
+# subset-index cells of one size (1 GiB of int32)
+_INDEX_CELLS = 1 << 28
 # Veltkamp's factor splits a double into two halves of 26 bits, which a
 # count below 2^27 multiplies exactly; values below 2^996 split without
 # overflow
@@ -242,13 +244,13 @@ def _spin_tables(g: Hypergraph, depth: int) -> tuple:
     could merge) or a slot code would not fit in int64. order_free[tid[e]]
     says whether edge e's table reads only the number of "+" positions
     (true of every Ising edge). Tables past _TABLE_ENTRIES entries in all
-    are refused with MemoryCapError before any is built.
+    are refused with CapError before any is built.
     """
     ids: dict = {}
     tid = np.asarray([ids.setdefault((e.size, e.activity), len(ids))
                       for e in g.edges] + [len(ids)])
-    if sum(1 << size for size, _ in ids) > _TABLE_ENTRIES:
-        raise MemoryCapError(f"spin tables exceed {_TABLE_ENTRIES} entries")
+    check_cap("spin-table entries", sum(1 << size for size, _ in ids),
+              _TABLE_ENTRIES)
     flat = np.array([v for size, act in ids for v in act.table(size)] + [1],
                     dtype=np.complex128)
     offset = np.cumsum([0] + [1 << size for size, _ in ids])
@@ -506,8 +508,9 @@ def compute_coefficient_tables(
     label sets. The family saturates at the host size, so orders beyond n
     cover the same sets; a given family must be g's, since the tables read
     its edge arrays (ValueError otherwise). A family of 2^31 sets or more,
-    or spin tables past _TABLE_ENTRIES, are refused with MemoryCapError
-    before any table is built."""
+    or spin tables past _TABLE_ENTRIES, are refused with CapError before
+    any table is built, and a subset index of one size past _INDEX_CELLS
+    before any index is."""
     if m < 1:
         raise ValueError("order m must be >= 1")
     depth = max(1, min(m, g.n))
@@ -518,8 +521,7 @@ def compute_coefficient_tables(
     elif fam.t_max < depth:
         raise ValueError(f"family enumerated to {fam.t_max}, need {depth}")
     ends = np.cumsum([len(fam.by_size[k]) for k in range(depth)]).tolist()
-    if ends[-1] >= 1 << 31:
-        raise MemoryCapError(f"{ends[-1]} label sets overflow int32 indices")
+    check_cap("label sets for int32 row indices", ends[-1], (1 << 31) - 1)
 
     inc, ev = fam.arrays
     flat, start, keying = _spin_tables(g, depth)
@@ -531,7 +533,11 @@ def compute_coefficient_tables(
     else:
         classes = _family_classes(fam, depth, *keying)
     reps = [own for _, own, _ in classes]
-    rows = _index_rows(fam.parents, reps)
+    # every row read when every row is a representative
+    rows = reps if keying is None else _index_rows(fam.parents, reps)
+    check_cap("subset-index cells of one size",
+              max((len(read) << k for k, read in enumerate(rows, start=1)),
+                  default=0), _INDEX_CELLS)
     # values[t, c]: the order-t coefficient of the sets of class c, the
     # classes of size k from firsts[k - 1] on; cls maps each family row to
     # its class

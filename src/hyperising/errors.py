@@ -4,6 +4,11 @@ CLI exit-code mapping: SchemaError and bad flag values are input errors
 (exit 1); every other HyperIsingError (the caps, UnitCircleError,
 RootConvergenceError, an overflow of Z, of its power sums or of a
 witness polynomial) is a refusal of a well-formed request (exit 2).
+
+Every cap, the coefficient tables' subset index of one size (1 GiB of
+int32) among them, is refused by `check_cap` before the work it bounds,
+in one form that names the stage and quantity: "{what}: {amount} above
+the cap {cap}". CapError has no subclasses: library callers catch it.
 """
 
 
@@ -19,16 +24,11 @@ class CapError(HyperIsingError):
     """A configured resource cap would be exceeded."""
 
 
-class OracleCapError(CapError):
-    """Exact enumeration requested above the vertex-count cap."""
-
-
-class MemoryCapError(CapError):
-    """Connected-set frontier grew past the configured set cap."""
-
-
-class OrderCapError(CapError):
-    """Required truncation order exceeds the configured cap."""
+def check_cap(what: str, amount: int, cap: int) -> None:
+    """Refuse `amount` of `what` above `cap`: the package's one raise of
+    CapError."""
+    if amount > cap:
+        raise CapError(f"{what}: {amount} above the cap {cap}")
 
 
 class UnitCircleError(HyperIsingError):

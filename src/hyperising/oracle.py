@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OracleCapError, RootConvergenceError, SchemaError
+from .errors import RootConvergenceError, SchemaError, check_cap
 from .hypergraph import Hypergraph, IsingActivity
 
 DEFAULT_VERTEX_CAP = 24
@@ -33,22 +33,11 @@ _BLOCK_BITS = 20  # int64-sized cells per transfer state, sets per 2^n block
 log = logging.getLogger(__name__)
 
 
-def check_vertex_cap(n: int, cap: int) -> None:
-    """Refuse exact enumeration over 2^n states above the vertex cap."""
-    if n > cap:
-        raise OracleCapError(
-            f"exact enumeration over 2^{n} states exceeds cap n<={cap}"
-        )
-
-
 def check_histogram_cap(n: int, cap: int) -> None:
     """Refuse a cut histogram above the vertex cap, and at any cap where
     its int64 counts could overflow."""
-    check_vertex_cap(n, cap)
-    if n > HISTOGRAM_MAX_N:
-        raise OracleCapError(
-            f"cut histogram counts on {n} vertices overflow int64"
-            f" (n <= {HISTOGRAM_MAX_N} at any cap)")
+    check_cap("oracle vertices", n, cap)
+    check_cap("cut-histogram vertices for int64 counts", n, HISTOGRAM_MAX_N)
 
 
 def _cut(states: np.ndarray, vertices) -> np.ndarray:
@@ -91,8 +80,7 @@ def _transfer_steps(g: Hypergraph) -> list[tuple]:
             if best is None or key < best[0]:
                 best = key, v, done, out
         _, v, done, out = best
-        if width > 62:
-            raise OracleCapError(f"frontier width {width} exceeds 62")
+        check_cap("transfer frontier width", width, 62)
         steps.append((v, [g.edges[j] for j in done], sorted(out), width))
         todo.remove(v)
         for j in incident[v]:
@@ -191,7 +179,7 @@ def _graded_sum(g: Hypergraph, lams) -> np.ndarray:
 
 def exact_coefficients(g: Hypergraph, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
     """Coefficients c_0..c_n of Z(lam), c_i the weight of the sets of size i."""
-    check_vertex_cap(g.n, cap)
+    check_cap("oracle vertices", g.n, cap)
     return _graded_sum(g, None)
 
 
@@ -203,7 +191,7 @@ def exact_partition(g: Hypergraph, lam: complex,
 
 def exact_multivariate(g: Hypergraph, lams, cap: int = DEFAULT_VERTEX_CAP) -> complex:
     """Multivariate Ising value: sum_S prod_{e cut by S} beta_e prod_{i in S} lam_i."""
-    check_vertex_cap(g.n, cap)
+    check_cap("oracle vertices", g.n, cap)
     if any(not isinstance(e.activity, IsingActivity) for e in g.edges):
         raise SchemaError("multivariate evaluation is defined for Ising edges only")
     lams = [complex(x) for x in lams]
@@ -373,7 +361,7 @@ def polynomial_roots(coeffs, tol: float = DEFAULT_RESIDUAL_TOL, *,
                 mag = np.abs(polyval(rows[part, :dg + 1].T[..., None], r))
                 eta = mag / polyval(mags[part, :dg + 1].T[..., None],
                                     np.abs(r)).real
-            calls += int(dg > z)
+            calls += int(dg > z and len(failed) < len(part))
             errors.update({int(part[j]): exc for j, exc in failed.items()})
             eta[:, dg - z:] = 0  # split-off zero roots are exact
             worst[part] = eta.max(axis=1)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MemoryCapError
+from .errors import check_cap
 from .hypergraph import Hypergraph
 
 DEFAULT_SET_CAP = 1 << 26
@@ -106,14 +106,6 @@ def _edge_arrays(g: Hypergraph):
     ev = np.array([vs + (g.n,) * (width - len(vs)) for vs in ends]
                   + [(g.n,) * width], dtype=np.int64)
     return inc, ev
-
-
-def _check_cap(stored: int, set_cap: int, size: int) -> None:
-    if stored > set_cap:
-        raise MemoryCapError(
-            f"connected-set frontier exceeded cap of {set_cap} sets"
-            f" at size {size}"
-        )
 
 
 def _mate_codes(sets: np.ndarray, mates: np.ndarray, base: int,
@@ -175,14 +167,14 @@ def enumerate_connected(g: Hypergraph, t: int,
     logger gives the sets stored, the largest size reached and its key
     words.
 
-    Raises MemoryCapError once the number of stored sets, the n
+    Raises CapError once the number of stored sets, the n
     singletons included, passes set_cap; growth is (e*Delta*k)^t in the
     worst case, so the cap fails loudly instead of swapping.
     """
     if t < 1:
         raise ValueError("size budget t must be >= 1")
     stored = g.n
-    _check_cap(stored, set_cap, 1)
+    check_cap("connected sets stored at size 1", stored, set_cap)
     arrays = inc, ev = _edge_arrays(g)
     bits = max(1, (g.n - 1).bit_length())
     per = 63 // bits
@@ -234,7 +226,8 @@ def enumerate_connected(g: Hypergraph, t: int,
             codes = None
         # a set of this size is reached once per connected parent, so at
         # most `size` times: refuse before building keys past the cap
-        _check_cap(stored + -(-len(row) // size), set_cap, size)
+        check_cap(f"connected sets stored at size {size}",
+                  stored + -(-len(row) // size), set_cap)
         # the pair (parent j, vertex v) lands on L = j + v with v at
         # position b of L; every connected L \ {v} has such a pair. Its
         # key: set j's digits before b stay, v goes in at b, and the digits
@@ -269,7 +262,7 @@ def enumerate_connected(g: Hypergraph, t: int,
             np.bitwise_and(key[:, None] >> shift[:cols.shape[1]], digit,
                            out=cols)
         stored += len(sets)
-        _check_cap(stored, set_cap, size)
+        check_cap(f"connected sets stored at size {size}", stored, set_cap)
         par = np.empty(sets.shape, dtype=np.int64)
         par.fill(-1)
         par[first.cumsum() - 1, pos[order]] = row[order]

@@ -39,7 +39,7 @@ from .coefficients import (
     power_sums,
     power_sums_to_elementary,
 )
-from .errors import HyperIsingError, OrderCapError, UnitCircleError
+from .errors import HyperIsingError, UnitCircleError, check_cap
 from .hypergraph import Hypergraph
 from .leeyang import check_activity_ranges
 from .oracle import polyval
@@ -152,11 +152,8 @@ class PartitionEstimator:
         the sums to order n by the mirror, so no later request rebuilds.
         A build whose values or sums pass the double range is refused,
         naming the order its sums reach: the build's, n once mirrored."""
-        if depth > self.order_cap:
-            raise OrderCapError(
-                f"truncation order {m} needs tables to order {depth}, "
-                f"above the cap {self.order_cap}"
-            )
+        check_cap(f"table order for truncation order {m}", depth,
+                  self.order_cap)
         if not self.host.n:  # no label sets
             return [], []
         state = self._state
@@ -190,9 +187,7 @@ class PartitionEstimator:
         host size (half of it on a symmetric host), beyond which Newton's
         identity continues the sequence. Orders above the cap are refused
         before any work is done."""
-        if m > self.order_cap:
-            raise OrderCapError(
-                f"order {m} is above the cap {self.order_cap}")
+        check_cap("truncation order", m, self.order_cap)
         n = self.host.n
         p, e = self._snapshot(min(m, n), m)
         if m <= len(p):

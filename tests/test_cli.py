@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hyperising import (check_activity_ranges, exact_partition,
                         hypergraph_to_doc, ising_ly_range, parse_hypergraph)
-from hyperising import cli, leeyang, oracle, subgraphs, taylor
+from hyperising import cli, coefficients, leeyang, oracle, subgraphs, taylor
 from hyperising.cli import main, parse_lambda
 from hyperising.instances import random_connected_hypergraph, random_regular_graph
 
@@ -310,7 +310,8 @@ def test_oversized_spin_table_refused_before_it_is_built(capsys, write_doc,
         code, rep, err = run_cli(capsys, argv)
         assert time.perf_counter() - start < 1.0
         assert code == 2 and rep is None
-        assert err.startswith("refused:") and "spin tables" in err
+        assert err == (f"refused: spin-table entries: {2 ** k} above the"
+                       f" cap {1 << 26}\n")
 
 
 def test_mcap_refusal_and_flag_override(capsys, write_doc, monkeypatch):
@@ -568,14 +569,14 @@ def test_sweep_high_beta_row_on_circle(capsys):
 
 def test_sweep_over_oracle_cap_refused_at_once(capsys):
     # the cap is checked before the host is generated
-    for shape, states in (("26,3", "2^26"), ("400000,3", "2^400000")):
+    for n in (26, 400000):
         start = time.perf_counter()
-        code, rep, err = run_cli(capsys, ["sweep", "--random-regular", shape,
-                                          "--beta-from", "0.1",
+        code, rep, err = run_cli(capsys, ["sweep", "--random-regular",
+                                          f"{n},3", "--beta-from", "0.1",
                                           "--beta-to", "0.9"])
         assert time.perf_counter() - start < 1.0
         assert code == 2 and rep is None
-        assert states in err
+        assert err == f"refused: oracle vertices: {n} above the cap 24\n"
 
 
 def test_sweep_past_int64_counts_refused_at_once(capsys):
@@ -587,7 +588,8 @@ def test_sweep_past_int64_counts_refused_at_once(capsys):
                                       "--beta-from", "0.1", "--beta-to", "0.9"])
     assert time.perf_counter() - start < 1.0
     assert code == 2 and rep is None
-    assert err.startswith("refused:") and "int64" in err
+    assert err == ("refused: cut-histogram vertices for int64 counts: 68"
+                   " above the cap 66\n")
 
 
 def test_sweep_grid_past_its_cap_refused_at_once(capsys):
@@ -600,14 +602,14 @@ def test_sweep_grid_past_its_cap_refused_at_once(capsys):
     code, rep, err = run_cli(capsys, argv + [str(10 ** 12)])
     assert time.perf_counter() - start < 1.0
     assert code == 2 and rep is None
-    assert err == ("refused: a grid of 1000000000000 x 9^2 root cells is"
-                   f" above the cap {cli.SWEEP_GRID_CELLS}\n")
+    assert err == (f"refused: sweep root cells: {10 ** 12 * 9 ** 2} above"
+                   f" the cap {cli.SWEEP_GRID_CELLS}\n")
     most = cli.SWEEP_GRID_CELLS // 9 ** 2
     start = time.perf_counter()
     code, rep, err = run_cli(capsys, argv + [str(most + 1)])
     assert time.perf_counter() - start < 1.0
-    assert code == 2 and err == (f"refused: a grid of {most + 1} x 9^2 root"
-                                 f" cells is above the cap"
+    assert code == 2 and err == (f"refused: sweep root cells:"
+                                 f" {(most + 1) * 9 ** 2} above the cap"
                                  f" {cli.SWEEP_GRID_CELLS}\n")
     # the benchmark's grid, 21 steps on 18 vertices, is far below it
     code, rep, _ = run_cli(capsys, ["sweep", "--random-regular", "18,3",
@@ -1076,9 +1078,53 @@ def test_memory_cap_counts_singletons(capsys, write_doc, argv, doc, cap):
     call = [argv[0], write_doc(doc), *argv[1:], "--memory-cap"]
     code, rep, err = run_cli(capsys, call + [str(cap)])
     assert code == 2 and rep is None
-    assert err.startswith("refused:") and "at size 1" in err
+    assert err == (f"refused: connected sets stored at size 1: {doc['n']}"
+                   f" above the cap {cap}\n")
     code, rep, _ = run_cli(capsys, call + [str(doc["n"])])
     assert code == 0 and rep["parameters"]["memory_cap"] == doc["n"]
+
+
+EDGE30_DOC = {"n": 30, "edges": [{"v": list(range(30)), "beta": 0.5}]}
+K64_DOC = {"n": 64, "edges": [{"v": [i, j], "beta": 0.5}
+                              for j in range(64) for i in range(j)]}
+BETAS = ["--beta-from", "0.1", "--beta-to", "0.9"]
+
+
+@pytest.mark.parametrize("what,argv,doc", [
+    ("connected sets stored at size 1",
+     ["enumerate", "--t", "1", "--memory-cap", "9"], R10_DOC),
+    ("spin-table entries", ["coeffs", "--m", "1"], EDGE30_DOC),
+    ("oracle vertices", ["exact", "--lambda", "0.3", "--oracle-cap", "9"],
+     R10_DOC),
+    ("oracle vertices", ["zeros", "--oracle-cap", "9"], R10_DOC),
+    ("oracle vertices", ["sweep", "--random-regular", "26,3", *BETAS], None),
+    ("cut-histogram vertices for int64 counts",
+     ["sweep", "--random-regular", "68,3", "--oracle-cap", "100", *BETAS],
+     None),
+    ("transfer frontier width",
+     ["exact", "--lambda", "0.3", "--oracle-cap", "64"], K64_DOC),
+    ("sweep root cells",
+     ["sweep", "--random-regular", "8,3", "--steps", str(10 ** 12), *BETAS],
+     None),
+    # m >= n: the polynomial path's tables to order n = 10
+    ("table order for truncation order",
+     ["approx", "--lambda", "0.9", "--epsilon", "0.01", "--m-cap", "9"],
+     R10_DOC),
+    ("truncation order", ["coeffs", "--m", "25"], R10_DOC),
+    ("subset-index cells of one size", ["coeffs", "--m", "2"], R10_DOC),
+])
+def test_every_cap_refused_in_one_form(capsys, write_doc, monkeypatch, what,
+                                       argv, doc):
+    # every cap exits 2 with one line naming the stage and quantity, the
+    # request's amount and the cap. Only the tables' case reaches the
+    # subset index; the others are refused before any table is built
+    monkeypatch.setattr(coefficients, "_INDEX_CELLS", 1)
+    if doc is not None:
+        argv = [argv[0], write_doc(doc), *argv[1:]]
+    code, rep, err = run_cli(capsys, argv)
+    assert code == 2 and rep is None
+    assert re.fullmatch(r"refused: .+: \d+ above the cap \d+\n", err)
+    assert err.startswith(f"refused: {what}")
 
 
 def test_cli_defaults_are_the_library_constants(capsys, write_doc,

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hyperising import (
+    CapError,
     Hyperedge,
     Hypergraph,
     IsingActivity,
-    MemoryCapError,
     TableActivity,
     compute_coefficient_tables,
     elementary_to_coefficients,
@@ -29,8 +29,8 @@ from hyperising.instances import (random_connected_hypergraph,
                                   random_regular_graph, random_symmetric_table)
 from hyperising.subgraphs import _distinct, _edge_arrays
 
-from conftest import (brute_connected_sets, disjoint_union, edgeless,
-                      ising_edge, k2, max_coeff_rel_err, path_graph,
+from conftest import (brute_connected_sets, cycle_graph, disjoint_union,
+                      edgeless, ising_edge, k2, max_coeff_rel_err, path_graph,
                       set_weight, single_edge, table_dicts, traced_peak,
                       triangle, with_uniform_beta)
 
@@ -810,9 +810,27 @@ def test_spin_tables_count_each_distinct_activity_once(monkeypatch):
     assert len(flat) == 13 and start.tolist() == [0, 8, 0, 12]
     assert flat[-1] == 1
     more = Hypergraph(5, edges + (ising_edge((0, 3, 4), 0.3),))
-    with pytest.raises(MemoryCapError, match="16"):
+    with pytest.raises(CapError, match="^spin-table entries: 20 above the"
+                       " cap 16$"):
         compute_coefficient_tables(more, 3)
     compute_coefficient_tables(g, 3)
+
+
+def test_subset_index_refused_before_it_is_built(monkeypatch):
+    # the 8-cycle's classes read 8, 8, 6, 4 and 2 index rows at sizes 1-5:
+    # 64 cells at sizes 4 and 5, the most of one size
+    g = cycle_graph(8)
+    want = compute_coefficient_tables(g, 5)
+    fill = coefficients._subset_index
+    monkeypatch.setattr(coefficients, "_INDEX_CELLS", 63)
+    monkeypatch.setattr(coefficients, "_subset_index", None)
+    with pytest.raises(CapError, match="^subset-index cells of one size: 64"
+                       " above the cap 63$"):
+        compute_coefficient_tables(g, 5)
+    monkeypatch.setattr(coefficients, "_INDEX_CELLS", 64)
+    monkeypatch.setattr(coefficients, "_subset_index", fill)
+    got = compute_coefficient_tables(g, 5)
+    assert np.array_equal(got.values, want.values)
 
 
 def test_host_past_62_vertices():

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hyperising import (
+    CapError,
     HyperIsingError,
     Hyperedge,
     Hypergraph,
     IsingActivity,
-    OracleCapError,
     PartitionEstimator,
     RootConvergenceError,
     SchemaError,
@@ -303,7 +303,8 @@ def test_histogram_matches_coefficients_above_the_default_cap():
 def test_frontier_past_62_refused_before_any_work():
     # K_64's frontier holds 63 vertices when the last one joins: row ids
     # of 64 bits, past the 63 of a non-negative int64
-    with pytest.raises(OracleCapError, match="frontier width 63"):
+    with pytest.raises(CapError, match="^transfer frontier width: 63 above"
+                       " the cap 62$"):
         exact_coefficients(complete_graph(64), cap=64)
 
 
@@ -311,7 +312,8 @@ def test_histogram_counts_refused_past_int64():
     # C(66, 33) < 2^63 <= C(67, 33): the counts of 66 vertices still fit
     hist = cut_histogram(edgeless(66), cap=66)
     assert hist[:, 0].tolist() == [math.comb(66, i) for i in range(67)]
-    with pytest.raises(OracleCapError, match="int64"):
+    with pytest.raises(CapError, match="^cut-histogram vertices for int64"
+                       " counts: 67 above the cap 66$"):
         cut_histogram(edgeless(67), cap=100)
 
 
@@ -365,7 +367,7 @@ def test_multivariate_rejects_tables():
 
 
 def test_vertex_cap():
-    with pytest.raises(OracleCapError):
+    with pytest.raises(CapError):
         exact_partition(edgeless(25), 0.5)
     assert exact_partition(edgeless(25), 0.5, cap=25)
 
@@ -411,13 +413,16 @@ def test_trailing_coefficient_strip():
 def test_subnormal_leading_coefficient_refused(caplog):
     # 1 / 1e-320 overflows the companion matrix: that row is refused on
     # its own, without a numpy warning (which would fail this test), and
-    # the rows stacked with it still share one eigenvalue call
-    for rows in ([1, 1, 1e-320], [[1, 2, 1], [1, 1, 1e-320], [2, 1, 3]]):
+    # the rows stacked with it still share one eigenvalue call; alone, it
+    # makes none
+    for rows, logged in (([1, 1, 1e-320], "1 rows, degrees 2, 0"),
+                         ([[1, 2, 1], [1, 1, 1e-320], [2, 1, 3]],
+                          "3 rows, degrees 2, 1")):
         with (pytest.raises(RootConvergenceError,
                             match="overflows the companion matrix"),
               caplog.at_level(logging.INFO, logger="hyperising.oracle")):
             polynomial_roots(rows)
-    assert "3 rows, degrees 2, 1 eigenvalue calls" in caplog.messages[-1]
+        assert f"{logged} eigenvalue calls" in caplog.messages[-1]
 
 
 @pytest.mark.parametrize("beta", [100, 1000])

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperising import (
+    CapError,
     Hypergraph,
     IsingActivity,
-    MemoryCapError,
     TableActivity,
     count_bound,
     enumerate_connected,
@@ -268,12 +268,13 @@ def test_subtree_bound_against_matrix_tree():
 
 def test_memory_cap_fails_loudly():
     g = cycle_graph(12)
-    with pytest.raises(MemoryCapError):
+    with pytest.raises(CapError):
         enumerate_connected(g, 6, set_cap=20)
     # the n singletons count too
     assert enumerate_connected(g, 1, set_cap=12).counts() == {1: 12}
     for t in (1, 3):
-        with pytest.raises(MemoryCapError, match="at size 1"):
+        with pytest.raises(CapError, match="^connected sets stored at size"
+                           " 1: 12 above the cap 11$"):
             enumerate_connected(g, t, set_cap=11)
 
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperising import (
+    CapError,
     HyperIsingError,
-    OrderCapError,
     PartitionEstimator,
     TableActivity,
     UnitCircleError,
@@ -170,7 +170,7 @@ def test_epsilon_domain():
 
 def test_order_cap_refusal_mentions_order():
     g = path_graph(30, 0.5)
-    with pytest.raises(OrderCapError, match=r"\d+"):
+    with pytest.raises(CapError, match=r"\d+"):
         PartitionEstimator(g, order_cap=24).approximate(0.9, 0.01)
 
 
